@@ -1,6 +1,6 @@
 // Serving throughput/latency bench: sustained requests/sec and p50/p99
 // latency through one warm serve::Engine over a mixed 12-circuit corpus,
-// NPN result cache on vs off (DESIGN.md §14).
+// result cache on vs off (DESIGN.md §14).
 //
 // Each request travels the full wire path (JSON parse -> per-request config
 // -> pipeline -> embedded run report -> JSON serialize), exactly what
@@ -165,7 +165,7 @@ ConcurrentResult run_concurrent(unsigned clients, unsigned workers,
     threads_v.emplace_back([&, cl] {
       for (unsigned round = 1; round <= rounds; ++round) {
         for (std::size_t c = 0; c < kCorpusSize; ++c) {
-          // Stagger the corpus per client so the NPN caches see a mixed
+          // Stagger the corpus per client so the result caches see a mixed
           // stream rather than kCorpusSize simultaneous copies of one run.
           const std::size_t idx = (c + cl) % kCorpusSize;
           const auto r0 = std::chrono::steady_clock::now();

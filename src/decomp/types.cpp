@@ -1,5 +1,6 @@
 #include "decomp/types.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -26,31 +27,42 @@ bool VertexPartition::refines(const VertexPartition& coarser) const {
 VertexPartition VertexPartition::product(
     const std::vector<const VertexPartition*>& parts) {
   assert(!parts.empty());
-  const unsigned b = parts.front()->b;
   VertexPartition result;
-  result.b = b;
-  result.class_of.resize(std::uint64_t{1} << b);
+  result.b = parts.front()->b;
+  const std::uint64_t n = result.num_vertices();
+  result.class_of.assign(n, 0);
+  result.num_classes = 1;
 
-  // Combine per-vertex class tuples; assign ids in first-occurrence order.
-  std::unordered_map<std::uint64_t, std::uint32_t> seen;
-  std::uint32_t next_id = 0;
-  for (std::uint64_t v = 0; v < result.num_vertices(); ++v) {
-    std::uint64_t key = 0x9e3779b97f4a7c15ull;
-    for (const VertexPartition* p : parts) {
-      assert(p->b == b);
-      key ^= p->class_of[v] + 0x9e3779b97f4a7c15ull + (key << 6) + (key >> 2);
+  // Fold the factors in one at a time: each vertex's exact (class so far,
+  // factor class) pair gets a new id in first-occurrence order over vertex
+  // index. Distinct pairs are distinct class tuples, so the final ids are
+  // the first-occurrence numbering of the full tuples. Pair ids live in a
+  // flat classes x ℓ table while it stays small (the common case) and in a
+  // hash map keyed on the packed pair otherwise, so a wide bound set never
+  // allocates 2^(2b) slots.
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  std::vector<std::uint32_t> flat;
+  std::unordered_map<std::uint64_t, std::uint32_t> sparse;
+  for (const VertexPartition* p : parts) {
+    assert(p->b == result.b);
+    const std::uint64_t width = p->num_classes;
+    const std::uint64_t cells = result.num_classes * width;
+    const bool use_flat = cells <= std::max<std::uint64_t>(4 * n, 4096);
+    if (use_flat)
+      flat.assign(cells, kUnseen);
+    else
+      sparse.clear();
+    std::uint32_t next_id = 0;
+    for (std::uint64_t v = 0; v < n; ++v) {
+      const std::uint64_t pair = result.class_of[v] * width + p->class_of[v];
+      std::uint32_t& id = use_flat
+                              ? flat[pair]
+                              : sparse.try_emplace(pair, kUnseen).first->second;
+      if (id == kUnseen) id = next_id++;
+      result.class_of[v] = id;
     }
-    auto [it, inserted] = seen.emplace(key, next_id);
-    if (inserted) ++next_id;
-    result.class_of[v] = it->second;
+    result.num_classes = next_id;
   }
-  result.num_classes = next_id;
-
-#ifndef NDEBUG
-  // Hash combination could in principle collide; verify the result refines
-  // every factor (cheap at these sizes, debug builds only).
-  for (const VertexPartition* p : parts) assert(result.refines(*p));
-#endif
   return result;
 }
 

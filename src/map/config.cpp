@@ -57,16 +57,13 @@ std::vector<std::string> SynthesisConfig::validate() const {
   if (restructure_passes == 0) bad("restructure_passes must be >= 1 (got 0)");
   if (result_cache && result_cache_entries == 0)
     bad("result_cache_entries must be >= 1 when result_cache is on (got 0)");
-  if (result_cache_max_vars > TruthTable::kMaxVars)
-    bad("result_cache_max_vars must be <= %u (TruthTable limit; got %u)",
-        TruthTable::kMaxVars, result_cache_max_vars);
   return diags;
 }
 
 FlowOptions SynthesisConfig::flow_options() const {
   FlowOptions flow;
   flow.k = k;
-  flow.multi_output = multi_output;
+  flow.multi_output = multi_output && !classical;
   flow.output_partitioning = output_partitioning;
   flow.max_vector_outputs = max_vector_outputs;
   flow.max_vector_inputs = max_vector_inputs;
@@ -82,7 +79,6 @@ FlowOptions SynthesisConfig::flow_options() const {
   flow.varpart.seed = seed;
   flow.batch_groups = batch_groups;
   flow.degrade = on_exhaustion == OnExhaustion::degrade;
-  flow.cache_fingerprint = decomposition_fingerprint();
   // Cache-served decompositions are cross-checked by recompose() whenever
   // the run itself is verified exactly (exact, or auto's miter-first path).
   flow.cache_verify_hits =
@@ -90,25 +86,6 @@ FlowOptions SynthesisConfig::flow_options() const {
   // flow.guard and flow.npn_cache are runtime objects, wired by the driver
   // (driver.cpp) from the run's RunResources, not config values.
   return flow;
-}
-
-std::uint64_t SynthesisConfig::decomposition_fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(k);
-  mix(multi_output);
-  mix(max_p);
-  mix(strict);
-  mix(via_v_substitution);
-  mix(bound_size);
-  mix(max_exhaustive);
-  mix(samples);
-  mix(climb_iters);
-  mix(eval_budget);
-  mix(seed);
-  return h;
 }
 
 RestructureOptions SynthesisConfig::restructure_options() const {

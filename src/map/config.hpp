@@ -111,20 +111,16 @@ struct SynthesisConfig {
   /// DegradationReport records what happened.
   OnExhaustion on_exhaustion = OnExhaustion::fail;
 
-  // --- NPN result cache (DESIGN.md §14) --------------------------------------
+  // --- Result cache (DESIGN.md §14.3) ---------------------------------------
   /// Serve repeated decomposition work from the session's result cache
-  /// (map/npn_cache.hpp): singleton decompositions and own-cost baselines by
-  /// NPN class, multi-output vectors and grouping trials by exact function
-  /// tuple. Off by default: with the cache on, cached functions are priced /
-  /// decomposed through their canonical representatives, so results can
-  /// differ from cache-off runs; cache-on results are themselves
-  /// deterministic and bit-identical between warm and cold caches.
+  /// (map/npn_cache.hpp): group decompositions, grouping trials and own-cost
+  /// baselines, each keyed by its exact function tuple and the options it
+  /// depends on. A hit equals the computation it replaces, so results are
+  /// the same with the cache on or off, warm or cold. Vectors wider than
+  /// max_vector_inputs bypass it.
   bool result_cache = false;
   /// Bounded LRU capacity of the result cache (entries).
   std::size_t result_cache_entries = 4096;
-  /// Functions wider than this bypass the cache (canonization is O(n 2^n)).
-  /// The default covers the flow's widest vector trials (max_vector_inputs).
-  unsigned result_cache_max_vars = 18;
 
   // --- Observability (DESIGN.md §13) ----------------------------------------
   /// When non-empty, write the unified run report (schema-versioned JSON:
@@ -158,11 +154,6 @@ struct SynthesisConfig {
   /// Lower to the nested option structs (pre: validate().empty()).
   FlowOptions flow_options() const;
   RestructureOptions restructure_options() const;
-
-  /// Hash of every knob that can change a singleton decomposition result —
-  /// the NPN result cache keys on it, so one cache instance can serve
-  /// requests with differing configs without cross-config contamination.
-  std::uint64_t decomposition_fingerprint() const;
 };
 
 }  // namespace imodec

@@ -220,7 +220,6 @@ DriverReport run_synthesis_governed(const Network& input,
   }
 
   FlowOptions flow_opts = opts.flow_options();
-  if (opts.classical) flow_opts.multi_output = false;
   flow_opts.pool = pool;
   flow_opts.guard = guard;
   if (opts.result_cache) flow_opts.npn_cache = res.npn_cache;

@@ -80,7 +80,7 @@ DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
 /// null). SynthesisSession keeps one of these warm across runs so a served
 /// request never pays cold allocation (DESIGN.md §14):
 ///  - pool:      the execution pool (as in the overload above)
-///  - npn_cache: the NPN-canonical result cache; consulted only when
+///  - npn_cache: the session result cache; consulted only when
 ///               opts.result_cache is set
 ///  - managers:  recycled BDD managers for the engine's per-vector runs
 struct RunResources {

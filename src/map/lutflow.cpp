@@ -1,8 +1,6 @@
 #include "map/lutflow.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cassert>
 #include <string>
 #include <unordered_map>
@@ -69,14 +67,30 @@ struct NodeKeyHash {
   }
 };
 
+/// Every option a cached flow result depends on, as the flow runs with it
+/// (the result cache compares these exactly; see Flow::cached).
+std::vector<std::uint64_t> decomposition_knobs(const FlowOptions& o) {
+  return {o.k,
+          o.multi_output,
+          o.imodec.max_p,
+          o.imodec.strict,
+          o.imodec.via_v_substitution,
+          o.varpart.bound_size,
+          o.varpart.max_exhaustive,
+          o.varpart.samples,
+          o.varpart.climb_iters,
+          o.varpart.eval_budget,
+          o.varpart.seed,
+          o.varpart.require_nontrivial};
+}
+
 class Flow {
  public:
   Flow(const Network& src, const FlowOptions& opts)
-      : net_(src), opts_(opts) {}
+      : net_(src), opts_(opts), knobs_(decomposition_knobs(opts)) {}
 
   FlowResult run() {
     obs::ScopedSpan flow_span("flow.decompose_to_luts");
-    const bool debug = std::getenv("IMODEC_FLOW_DEBUG") != nullptr;
     // Initial worklist: wide logic nodes.
     for (SigId s = 0; s < net_.node_count(); ++s) enqueue_if_wide(s);
 
@@ -86,7 +100,6 @@ class Flow {
     // is where d-node structural hashing runs, so the hash map needs no
     // lock). Selection never sees a half-applied batch and application
     // order is fixed, so the result is identical for every thread count.
-    std::size_t rounds = 0;
     while (!worklist_.empty()) {
       // One deterministic governance point per round: in fail mode an
       // expired deadline unwinds here even when the remaining work is too
@@ -141,14 +154,6 @@ class Flow {
         }
         obs::flight(obs::FlightKind::guard, "flow.round", live, budget,
                     ms_left);
-      }
-      if (debug) {
-        std::fprintf(stderr,
-                     "[flow] round=%zu batch=%zu worklist=%zu nodes=%zu "
-                     "shannon=%u errors=%u t=%.1fs\n",
-                     ++rounds, comps.size(), worklist_.size(),
-                     net_.node_count(), stats_.shannon_fallbacks,
-                     stats_.total_errors(), flow_span.seconds());
       }
     }
 
@@ -304,39 +309,18 @@ class Flow {
     const OwnCostKey key{s, node.fanins.size(), node.func.hash()};
     if (auto it = own_cost_.find(key); it != own_cost_.end())
       return it->second;
-    VarPartOptions vopts = opts_.varpart;
-    vopts.bound_size = bound_size_for(node.fanins.size());
-    vopts.eval_budget = std::min<std::uint64_t>(vopts.eval_budget, 1 << 21);
-    vopts.pool = opts_.pool;
-    vopts.guard = opts_.guard;
-    unsigned cost = static_cast<unsigned>(node.fanins.size());
-    // Cross-request amortization (DESIGN.md §14): price the NPN
-    // representative so the whole class shares one baseline search. Hit and
-    // miss both report the representative's cost, keeping warm and cold
-    // caches bit-identical.
-    NpnCache* const cache = opts_.npn_cache;
-    const bool cacheable =
-        cache && node.fanins.size() <= cache->options().max_vars;
-    std::optional<NpnCanonical> canon;
-    const std::uint64_t fp = npn_salt(opts_.cache_fingerprint, kNpnCostSalt);
-    if (cacheable) {
-      canon = npn_canonicalize(node.func);
-      if (const auto hit = cache->lookup(fp, {canon->table});
-          hit && hit->cost) {
-        own_cost_.emplace(key, *hit->cost);
-        return *hit->cost;
-      }
-    }
+    const unsigned n = static_cast<unsigned>(node.fanins.size());
+    unsigned cost = n;
     try {
-      const TruthTable& f = canon ? canon->table : node.func;
-      const auto choice = choose_bound_set(
-          {f}, static_cast<unsigned>(node.fanins.size()), vopts);
-      if (choice) cost = codewidth(choice->locals[0].num_classes);
-      if (cacheable) {
-        NpnCache::Entry e;
-        e.cost = cost;
-        cache->store(fp, {canon->table}, std::move(e));
-      }
+      cost = *cached(CacheFamily::own_cost, {node.func}, [&] {
+                NpnCache::Entry e;
+                VarPartOptions vopts = varpart_for(n);
+                vopts.eval_budget =
+                    std::min<std::uint64_t>(vopts.eval_budget, 1 << 21);
+                const auto choice = choose_bound_set({node.func}, n, vopts);
+                e.cost = choice ? codewidth(choice->locals[0].num_classes) : n;
+                return e;
+              }).cost;
     } catch (const util::ResourceExhausted&) {
       // Degrade: an exhausted baseline search just prices the node at its
       // fanin count (its Shannon cost) — timing-dependent, so never cached.
@@ -348,81 +332,110 @@ class Flow {
   }
 
   /// Decomposition gain Σ own_cost - q of a candidate group, or -1 when the
-  /// group has no usable common bound set.
+  /// group has no usable common bound set. A trial served from the result
+  /// cache performs no engine work: no BDD stats, no trial counter.
   int vector_gain(const std::vector<SigId>& group) {
     const std::vector<SigId> inputs = group_inputs(group);
     if (inputs.size() > TruthTable::kMaxVars) return -1;
+    const unsigned n = static_cast<unsigned>(inputs.size());
     std::vector<TruthTable> funcs;
     funcs.reserve(group.size());
     for (SigId s : group)
       funcs.push_back(extend_table(net_.node(s).func, net_.node(s).fanins,
                                    inputs));
-    // Trials recur verbatim across requests on a serving workload; cache
-    // them under the exact function tuple (kNpnTrialSalt keeps the trimmed
-    // search budget's results apart from full decompositions). A replayed
-    // trial performs no engine work: no BDD stats, no trial counter.
-    NpnCache* const cache = opts_.npn_cache;
-    const bool cacheable =
-        cache && inputs.size() <= cache->options().max_vars;
-    const std::uint64_t fp = npn_salt(opts_.cache_fingerprint, kNpnTrialSalt);
-    unsigned q = 0;
-    bool have_q = false;
-    if (cacheable) {
-      if (const auto hit = cache->lookup(fp, funcs)) {
-        if (!hit->dec) return -1;
-        q = hit->dec->q();
-        have_q = true;
-      }
+    std::optional<unsigned> q;
+    try {
+      q = cached(CacheFamily::trial, funcs, [&] {
+            return trial_decomposition(funcs, n);
+          }).cost;
+    } catch (const util::ResourceExhausted&) {
+      // Degrade: an exhausted trial is just a rejected combination —
+      // timing-dependent, so never cached. Fail: unwind to the caller.
+      if (!opts_.degrade) throw;
     }
-    if (!have_q) {
-      ImodecStats st;
-      const auto reject = [&](DecomposeError err) {
-        if (cacheable) {
-          NpnCache::Entry e;
-          e.error = err;
-          cache->store(fp, funcs, std::move(e));
-        }
-        return -1;
-      };
-      try {
-        VarPartOptions vopts = opts_.varpart;
-        vopts.bound_size = bound_size_for(inputs.size());
-        // Trial decompositions are throwaway: trim the search effort.
-        vopts.samples = std::min<std::size_t>(vopts.samples, 12);
-        vopts.climb_iters = std::min<std::size_t>(vopts.climb_iters, 4);
-        vopts.max_exhaustive =
-            std::min<std::size_t>(vopts.max_exhaustive, 512);
-        vopts.eval_budget =
-            std::min<std::uint64_t>(vopts.eval_budget, 1 << 21);
-        vopts.pool = opts_.pool;
-        vopts.guard = opts_.guard;
-        const auto choice = choose_bound_set(
-            funcs, static_cast<unsigned>(inputs.size()), vopts);
-        if (!choice) return reject(DecomposeError::no_nontrivial_bound_set);
-        if (choice->p() > opts_.imodec.max_p)
-          return reject(DecomposeError::p_overflow);
-        ImodecOptions iopts = opts_.imodec;
-        iopts.guard = opts_.guard;
-        const auto dec = decompose_multi_output(funcs, choice->vp, iopts, &st);
-        absorb_bdd(st);
-        obs::count("flow.trial_decompositions");
-        if (!dec) return reject(dec.error());
-        if (cacheable) {
-          NpnCache::Entry e;
-          e.dec = *dec;
-          cache->store(fp, funcs, std::move(e));
-        }
-        q = dec->q();  // == st.q; spelled this way to match the hit path
-      } catch (const util::ResourceExhausted&) {
-        // Degrade: an exhausted trial is just a rejected combination —
-        // timing-dependent, so never cached. Fail: unwind to the caller.
-        if (!opts_.degrade) throw;
-        return -1;
-      }
-    }
+    if (!q) return -1;
     int own_sum = 0;
     for (SigId s : group) own_sum += static_cast<int>(own_cost(s));
-    return own_sum - static_cast<int>(q);
+    return own_sum - static_cast<int>(*q);
+  }
+
+  /// Trial decomposition of a candidate vector with a trimmed search: its
+  /// q in Entry::cost, or the DecomposeError that rules the vector out.
+  NpnCache::Entry trial_decomposition(const std::vector<TruthTable>& funcs,
+                                      unsigned num_inputs) {
+    NpnCache::Entry e;
+    const auto choice =
+        choose_bound_set(funcs, num_inputs, trimmed_varpart_for(num_inputs));
+    if (!choice) {
+      e.error = DecomposeError::no_nontrivial_bound_set;
+      return e;
+    }
+    if (choice->p() > opts_.imodec.max_p) {
+      e.error = DecomposeError::p_overflow;
+      return e;
+    }
+    ImodecStats st;
+    ImodecOptions iopts = opts_.imodec;
+    iopts.guard = opts_.guard;
+    const auto dec = decompose_multi_output(funcs, choice->vp, iopts, &st);
+    absorb_bdd(st);
+    obs::count("flow.trial_decompositions");
+    if (dec)
+      e.cost = dec->q();
+    else
+      e.error = dec.error();
+    return e;
+  }
+
+  /// The flow's one memo seam: serve `tables` from the session result cache
+  /// under (family, decomposition knobs, exact tables), or run `compute` and
+  /// store what it returns. Exact keys make a hit equal to the computation
+  /// it replaces, so cache-on runs equal cache-off runs (DESIGN.md §14.3).
+  /// Vectors wider than max_vector_inputs bypass the cache. Exceptions from
+  /// `compute` (resource trips — timing-dependent) propagate unstored. With
+  /// cache_verify_hits every served decomposition is recomposed against its
+  /// key first; a mismatch is counted and recomputed.
+  template <class Compute>
+  NpnCache::Entry cached(CacheFamily family,
+                         const std::vector<TruthTable>& tables,
+                         Compute&& compute) const {
+    NpnCache* const cache = opts_.npn_cache;
+    if (!cache || tables.front().num_vars() > opts_.max_vector_inputs)
+      return compute();
+    NpnCache::Key key{family, knobs_, tables};
+    if (std::optional<NpnCache::Entry> hit = cache->lookup(key)) {
+      if (!opts_.cache_verify_hits || !hit->dec) return std::move(*hit);
+      bool ok = true;
+      for (std::size_t k = 0; ok && k < tables.size(); ++k)
+        ok = recompose(*hit->dec, k, tables[k].num_vars()) == tables[k];
+      obs::count("cache.npn.verified");
+      if (ok) return std::move(*hit);
+      cache->note_verify_failure();
+      obs::count("cache.npn.verify_fail");
+    }
+    NpnCache::Entry e = compute();
+    cache->store(std::move(key), e);
+    return e;
+  }
+
+  /// Bound-set search options for a vector over `num_inputs` variables.
+  VarPartOptions varpart_for(std::size_t num_inputs) const {
+    VarPartOptions vopts = opts_.varpart;
+    vopts.bound_size = bound_size_for(num_inputs);
+    vopts.pool = opts_.pool;  // nested calls degrade to inline gracefully
+    vopts.guard = opts_.guard;
+    return vopts;
+  }
+
+  /// The trimmed search of throwaway decompositions (grouping trials and
+  /// the ladder's single-output step).
+  VarPartOptions trimmed_varpart_for(std::size_t num_inputs) const {
+    VarPartOptions vopts = varpart_for(num_inputs);
+    vopts.samples = std::min<std::size_t>(vopts.samples, 12);
+    vopts.climb_iters = std::min<std::size_t>(vopts.climb_iters, 4);
+    vopts.max_exhaustive = std::min<std::size_t>(vopts.max_exhaustive, 512);
+    vopts.eval_budget = std::min<std::uint64_t>(vopts.eval_budget, 1 << 21);
+    return vopts;
   }
 
   unsigned bound_size_for(std::size_t num_inputs) const {
@@ -479,53 +492,11 @@ class Flow {
           extend_table(net_.node(s).func, net_.node(s).fanins, c.inputs));
 
     try {
-      NpnCache::Entry ent;
-      NpnCache* const cache = opts_.npn_cache;
-      const bool cacheable =
-          cache && c.funcs[0].num_vars() <= cache->options().max_vars;
-      if (cacheable && c.group.size() == 1) {
-        // Serving-layer amortization (DESIGN.md §14): canonicalize, consult
-        // the cache, decompose the NPN representative on a miss. A hit
-        // replays exactly what the populating miss computed, so warm and
-        // cold caches yield bit-identical networks.
-        ent = npn_cached_decompose(
-            *cache, opts_.cache_fingerprint, c.funcs[0],
-            [&](const TruthTable& canon) {
-              return decompose_vector({canon}, canon.num_vars(), c);
-            },
-            opts_.cache_verify_hits);
-      } else if (cacheable) {
-        // Multi-output vectors are cached under their exact function tuple
-        // (identity transform): the stored entry IS the miss's result, so
-        // hits are bit-identical by construction.
-        bool served = false;
-        if (auto hit = cache->lookup(opts_.cache_fingerprint, c.funcs)) {
-          bool ok = true;
-          if (opts_.cache_verify_hits && hit->dec) {
-            for (std::size_t k = 0; ok && k < hit->dec->outputs.size(); ++k)
-              ok = recompose(*hit->dec, k,
-                             static_cast<unsigned>(c.inputs.size())) ==
-                   c.funcs[k];
-            obs::count("cache.npn.verified");
-            if (!ok) {
-              cache->note_verify_failure();
-              obs::count("cache.npn.verify_fail");
-            }
-          }
-          if (ok) {
-            ent = *hit;
-            served = true;
-          }
-        }
-        if (!served) {
-          ent = decompose_vector(c.funcs,
-                                 static_cast<unsigned>(c.inputs.size()), c);
-          cache->store(opts_.cache_fingerprint, c.funcs, ent);
-        }
-      } else {
-        ent = decompose_vector(c.funcs,
-                               static_cast<unsigned>(c.inputs.size()), c);
-      }
+      NpnCache::Entry ent =
+          cached(CacheFamily::decomposition, c.funcs, [&] {
+            return decompose_vector(c.funcs,
+                                    static_cast<unsigned>(c.inputs.size()), c);
+          });
       if (ent.dec)
         c.dec = std::move(*ent.dec);
       else
@@ -549,7 +520,8 @@ class Flow {
     if (c.group.empty()) return;
     if (c.engine_ran) absorb_bdd(c.st);
     if (c.drained) {
-      for (SigId s : c.group) drain_shannon(s);
+      for (SigId s : c.group)
+        shannon_degrade(s, degrade_.drained, "drain_shannon");
       return;
     }
     if (c.exhausted) {
@@ -602,21 +574,16 @@ class Flow {
       stats_.shared_functions += static_cast<unsigned>(sum_c) - c.st.q;
   }
 
-  /// Shared core of compute_group: bound-set search plus engine /
-  /// single-output decomposition of one function vector. Exactly one of
-  /// dec/error is set in the returned entry; resource trips propagate as
-  /// exceptions. Runs on the caller's thread; mutates only c.st/c.engine_ran
-  /// of the computation passed in, so the cached (canonical-domain) path and
-  /// the direct path stay behaviorally identical.
+  /// Core of compute_group: bound-set search plus engine / single-output
+  /// decomposition of one function vector. Exactly one of dec/error is set
+  /// in the returned entry; resource trips propagate as exceptions. Runs on
+  /// the caller's thread and mutates only c.st/c.engine_ran.
   NpnCache::Entry decompose_vector(const std::vector<TruthTable>& funcs,
                                    unsigned num_inputs,
                                    GroupComputation& c) const {
     NpnCache::Entry ent;
-    VarPartOptions vopts = opts_.varpart;
-    vopts.bound_size = bound_size_for(num_inputs);
-    vopts.pool = opts_.pool;  // nested calls degrade to inline gracefully
-    vopts.guard = opts_.guard;
-    const auto choice = choose_bound_set(funcs, num_inputs, vopts);
+    const auto choice =
+        choose_bound_set(funcs, num_inputs, varpart_for(num_inputs));
     if (!choice) {
       ent.error = DecomposeError::no_nontrivial_bound_set;
       return ent;
@@ -757,20 +724,13 @@ class Flow {
     shannon_split(s, 0);
   }
 
-  /// Ladder step 3 / drain mode: Shannon split on the most binate variable,
-  /// so the two cofactors are as balanced as the cheap metric can tell and
-  /// the drain produces fewer mux levels than a fixed pivot would.
-  void shannon_degrade(SigId s) {
-    ++degrade_.shannon_degrades;
-    obs::flight(obs::FlightKind::rung, "shannon_degrade", s,
-                net_.node(s).fanins.size());
-    shannon_split(s, most_binate_var(net_.node(s).func));
-  }
-
-  void drain_shannon(SigId s) {
-    ++degrade_.drained;
-    obs::flight(obs::FlightKind::rung, "drain_shannon", s,
-                net_.node(s).fanins.size());
+  /// Ladder step 3 and drain mode: Shannon split on the most binate
+  /// variable, so the two cofactors are as balanced as the cheap metric can
+  /// tell and the drain produces fewer mux levels than a fixed pivot would.
+  /// `counter` and `rung` record which of the two asked for it.
+  void shannon_degrade(SigId s, unsigned& counter, std::string_view rung) {
+    ++counter;
+    obs::flight(obs::FlightKind::rung, rung, s, net_.node(s).fanins.size());
     shannon_split(s, most_binate_var(net_.node(s).func));
   }
 
@@ -820,22 +780,15 @@ class Flow {
   void degrade_single(SigId s) {
     if (net_.node(s).fanins.size() <= opts_.k) return;
     if (draining()) {
-      drain_shannon(s);
+      shannon_degrade(s, degrade_.drained, "drain_shannon");
       return;
     }
     const std::vector<SigId> fanins = net_.node(s).fanins;
     const TruthTable func = net_.node(s).func;
     try {
-      VarPartOptions vopts = opts_.varpart;
-      vopts.bound_size = bound_size_for(fanins.size());
-      vopts.samples = std::min<std::size_t>(vopts.samples, 12);
-      vopts.climb_iters = std::min<std::size_t>(vopts.climb_iters, 4);
-      vopts.max_exhaustive = std::min<std::size_t>(vopts.max_exhaustive, 512);
-      vopts.eval_budget = std::min<std::uint64_t>(vopts.eval_budget, 1 << 21);
-      vopts.pool = opts_.pool;
-      vopts.guard = opts_.guard;
-      const auto choice = choose_bound_set(
-          {func}, static_cast<unsigned>(fanins.size()), vopts);
+      const auto choice =
+          choose_bound_set({func}, static_cast<unsigned>(fanins.size()),
+                           trimmed_varpart_for(fanins.size()));
       if (choice) {
         const Decomposition dec =
             decompose_single_output(func, choice->vp, opts_.guard);
@@ -848,7 +801,7 @@ class Flow {
     } catch (const util::ResourceExhausted&) {
       // fall through to the unconditional Shannon step
     }
-    shannon_degrade(s);
+    shannon_degrade(s, degrade_.shannon_degrades, "shannon_degrade");
   }
 
   /// Fold one engine run's BDD totals into the flow stats (trial and
@@ -873,6 +826,7 @@ class Flow {
 
   Network net_;
   FlowOptions opts_;
+  std::vector<std::uint64_t> knobs_;  // result-cache key part (constant)
   FlowStats stats_;
   DegradationReport degrade_;
   std::vector<SigId> worklist_;

@@ -59,13 +59,11 @@ struct FlowOptions {
   /// Resource governance (not owned; nullptr = ungoverned). Checkpointed by
   /// every engine run, bound-set search and BDD operation of the flow.
   util::ResourceGuard* guard = nullptr;
-  /// NPN-canonical result cache for singleton decompositions (not owned;
-  /// nullptr = off). Wired by the driver from the run's RunResources when
-  /// SynthesisConfig::result_cache is set (DESIGN.md §14).
+  /// Session result cache (not owned; nullptr = off). Wired by the driver
+  /// from the run's RunResources when SynthesisConfig::result_cache is set.
+  /// Keys are exact and include these options, so results do not depend on
+  /// it (DESIGN.md §14.3).
   NpnCache* npn_cache = nullptr;
-  /// Cache key discriminator (SynthesisConfig::decomposition_fingerprint):
-  /// one cache serves many configs without cross-config contamination.
-  std::uint64_t cache_fingerprint = 0;
   /// Cross-check every cache-served decomposition by recompose() against
   /// the requested function (set by the exact/auto verify modes).
   bool cache_verify_hits = false;

@@ -1,113 +1,11 @@
 #include "map/npn_cache.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 #include "obs/metrics.hpp"
 
 namespace imodec {
 
-TruthTable npn_flip_input(const TruthTable& t, unsigned v) {
-  assert(v < t.num_vars());
-  TruthTable out(t.num_vars());
-  const std::uint64_t bit = std::uint64_t{1} << v;
-  for (std::uint64_t row = 0; row < t.num_rows(); ++row)
-    out.set(row, t.get(row ^ bit));
-  return out;
-}
-
-namespace {
-
-/// Deterministic phase rule for one input: normalize so the positive
-/// cofactor is the "heavier" one (more ones), ties broken on the raw bits.
-/// Applied to non-support variables it is a no-op (equal cofactors).
-bool should_flip_input(const TruthTable& f, unsigned v) {
-  const TruthTable c0 = f.cofactor(v, false);
-  const TruthTable c1 = f.cofactor(v, true);
-  const std::uint64_t o0 = c0.count_ones(), o1 = c1.count_ones();
-  if (o1 != o0) return o1 < o0;
-  return c1.to_string() < c0.to_string();
-}
-
-}  // namespace
-
-NpnCanonical npn_canonicalize(const TruthTable& f) {
-  const unsigned n = f.num_vars();
-  NpnCanonical out;
-  out.transform.input_flip.assign(n, false);
-
-  // 1. Input phases.
-  TruthTable g = f;
-  for (unsigned v = 0; v < n; ++v) {
-    if (should_flip_input(g, v)) {
-      out.transform.input_flip[v] = true;
-      g = npn_flip_input(g, v);
-    }
-  }
-
-  // 2. Output phase: minority of ones; on a tie, f(0..0) == 0.
-  const std::uint64_t ones = g.count_ones();
-  if (2 * ones > g.num_rows() || (2 * ones == g.num_rows() && g.get(0))) {
-    out.transform.output_flip = true;
-    g = ~g;
-  }
-
-  // 3. Variable order: descending influence (number of minterms where
-  // flipping the variable flips the function), ascending index on ties —
-  // stable and deterministic.
-  std::vector<std::uint64_t> influence(n);
-  for (unsigned v = 0; v < n; ++v)
-    influence[v] = (g.cofactor(v, false) ^ g.cofactor(v, true)).count_ones();
-  std::vector<unsigned> perm(n);
-  for (unsigned v = 0; v < n; ++v) perm[v] = v;
-  std::stable_sort(perm.begin(), perm.end(), [&](unsigned a, unsigned b) {
-    return influence[a] > influence[b];
-  });
-  out.transform.perm = perm;
-  out.table = g.permute(perm);
-  return out;
-}
-
-TruthTable npn_apply(const TruthTable& f, const NpnTransform& t) {
-  TruthTable g = f;
-  for (unsigned v = 0; v < f.num_vars(); ++v)
-    if (t.input_flip[v]) g = npn_flip_input(g, v);
-  g = g.permute(t.perm);
-  if (t.output_flip) g = ~g;
-  return g;
-}
-
-Decomposition npn_inverse_decomposition(const Decomposition& canonical,
-                                        const NpnTransform& t) {
-  Decomposition d = canonical;
-  // Bound positions: remap the variable index; a flipped original variable
-  // inverts input i of every d function (all d functions share the bound).
-  for (unsigned i = 0; i < d.vp.b(); ++i) {
-    const unsigned ovar = t.perm[canonical.vp.bound[i]];
-    if (t.input_flip[ovar])
-      for (TruthTable& df : d.d_funcs) df = npn_flip_input(df, i);
-    d.vp.bound[i] = ovar;
-  }
-  // Free positions: the code inputs of g are untouched (the d functions
-  // absorbed the bound flips, so codes are value-identical); a flipped free
-  // variable inverts g input c_k + j of each output's plan.
-  for (std::size_t j = 0; j < d.vp.free_set.size(); ++j) {
-    const unsigned ovar = t.perm[canonical.vp.free_set[j]];
-    if (t.input_flip[ovar])
-      for (Decomposition::OutputPlan& plan : d.outputs)
-        plan.g = npn_flip_input(
-            plan.g, static_cast<unsigned>(plan.d_index.size() + j));
-    d.vp.free_set[j] = ovar;
-  }
-  if (t.output_flip)
-    for (Decomposition::OutputPlan& plan : d.outputs) plan.g = ~plan.g;
-  return d;
-}
-
-std::optional<NpnCache::Entry> NpnCache::lookup(
-    std::uint64_t config_fp, const std::vector<TruthTable>& key_tables) {
+std::optional<NpnCache::Entry> NpnCache::lookup(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{config_fp, key_tables};
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
@@ -120,10 +18,8 @@ std::optional<NpnCache::Entry> NpnCache::lookup(
   return it->second->second;
 }
 
-void NpnCache::store(std::uint64_t config_fp,
-                     const std::vector<TruthTable>& key_tables, Entry e) {
+void NpnCache::store(Key key, Entry e) {
   std::lock_guard<std::mutex> lock(mu_);
-  Key key{config_fp, key_tables};
   if (const auto it = index_.find(key); it != index_.end()) {
     it->second->second = std::move(e);
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -131,7 +27,7 @@ void NpnCache::store(std::uint64_t config_fp,
   }
   lru_.emplace_front(key, std::move(e));
   index_.emplace(std::move(key), lru_.begin());
-  while (lru_.size() > opts_.max_entries) {
+  while (lru_.size() > max_entries_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
     ++stats_.evictions;
@@ -158,42 +54,6 @@ std::size_t NpnCache::size() const {
 void NpnCache::note_verify_failure() {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.verify_failures;
-}
-
-NpnCache::Entry npn_cached_decompose(
-    NpnCache& cache, std::uint64_t config_fp, const TruthTable& f,
-    const std::function<NpnCache::Entry(const TruthTable&)>&
-        decompose_canonical,
-    bool verify_hits) {
-  const NpnCanonical canon = npn_canonicalize(f);
-
-  const auto to_original = [&](const NpnCache::Entry& e) {
-    NpnCache::Entry out;
-    out.error = e.error;
-    if (e.dec) out.dec = npn_inverse_decomposition(*e.dec, canon.transform);
-    return out;
-  };
-
-  const std::vector<TruthTable> key{canon.table};
-  if (auto hit = cache.lookup(config_fp, key)) {
-    NpnCache::Entry res = to_original(*hit);
-    if (!verify_hits || !res.dec) return res;
-    // Exact cross-check of the cache-served decomposition: recompose every
-    // output in the truth-table domain and compare against the request's
-    // function — exhaustive at these widths, so equivalent to a miter proof.
-    bool ok = true;
-    for (std::size_t k = 0; ok && k < res.dec->outputs.size(); ++k)
-      ok = recompose(*res.dec, k, f.num_vars()) == f;
-    obs::count("cache.npn.verified");
-    if (ok) return res;
-    cache.note_verify_failure();
-    obs::count("cache.npn.verify_fail");
-    // Defensive: drop the poisoned entry and fall through to a recompute.
-  }
-
-  NpnCache::Entry computed = decompose_canonical(canon.table);
-  cache.store(config_fp, key, computed);
-  return to_original(computed);
 }
 
 }  // namespace imodec

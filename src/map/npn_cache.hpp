@@ -1,24 +1,16 @@
 #pragma once
-// NPN-canonical decomposition result cache (the serving layer's front end).
+// Session result cache: decomposition work shared by the runs of one
+// SynthesisSession (the serving layer's front end).
 //
-// Repeated requests decompose the same subfunctions over and over — the
-// classical amortization lever is canonizing each (sub)function under
-// negation-permutation-negation equivalence and caching one decomposition
-// per class (cf. abc's Npn4 tables and Tempia Calvino et al. 2024). We use a
-// deterministic semi-canonical form: input phases are normalized by cofactor
-// weight, the output phase by ones count, and variables are sorted by
-// influence. NPN-equivalent functions usually (not always) share a
-// representative; a class split only costs hit rate, never correctness.
-//
-// The determinism contract that makes the cache safe for bit-identical
-// serving: a MISS decomposes the *canonical representative* (not the
-// original function) and stores that, and both hit and miss then apply the
-// recorded inverse transform. A hit therefore returns exactly what the miss
-// that populated it computed — a warm process with a full cache produces the
-// same networks as a fresh process with a cold one (DESIGN.md §14).
+// The name is historical — the cache once keyed singleton functions by an
+// NPN-canonical representative. Every key is now exact: the entry family,
+// the flow options the result depends on, and the function tuple itself. A
+// hit therefore returns exactly what the computation it replaces would
+// return, so a run with the cache on maps every circuit to the same network
+// as a run with it off, and a warm session to the same network as a cold
+// one (DESIGN.md §14.3).
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -30,89 +22,42 @@
 
 namespace imodec {
 
-/// Invertible NPN transform recorded by npn_canonicalize:
-///   canonical(y) = output_flip ^ f(z)   with   z[perm[i]] = y[i] ^
-///   input_flip[perm[i]]
-/// i.e. canonical variable i stands for original variable perm[i], with the
-/// phase flip indexed by the *original* variable.
-struct NpnTransform {
-  std::vector<unsigned> perm;    ///< canonical var i = original var perm[i]
-  std::vector<bool> input_flip;  ///< indexed by original variable
-  bool output_flip = false;
+/// What an entry holds. Part of the key, so the families never alias even
+/// when their function tuples coincide.
+enum class CacheFamily : std::uint8_t {
+  decomposition,  ///< full decomposition of a group's function vector
+  trial,          ///< trimmed-search grouping trial: its q, or why it failed
+  own_cost,       ///< single-output codewidth baseline of one node
 };
 
-struct NpnCanonical {
-  TruthTable table;
-  NpnTransform transform;
-};
-
-/// Flip one input: result(row) = t(row with bit v inverted).
-TruthTable npn_flip_input(const TruthTable& t, unsigned v);
-
-/// Deterministic semi-canonical NPN form with its recorded transform.
-NpnCanonical npn_canonicalize(const TruthTable& f);
-
-/// Apply a transform in the forward direction (test oracle):
-/// npn_apply(f, canon.transform) == canon.table for canon =
-/// npn_canonicalize(f).
-TruthTable npn_apply(const TruthTable& f, const NpnTransform& t);
-
-/// Map a decomposition of the canonical function back to the original
-/// domain: bound/free variable indices run through perm, input flips are
-/// absorbed into the d functions (bound) and the g tails (free), and the
-/// output flip complements every g. recompose() of the result equals the
-/// original function.
-Decomposition npn_inverse_decomposition(const Decomposition& canonical,
-                                        const NpnTransform& t);
-
-struct NpnCacheOptions {
-  std::size_t max_entries = 4096;  ///< bounded LRU capacity
-  unsigned max_vars = 18;          ///< functions wider than this bypass
-};
-
-/// Mixed into the config fingerprint to keep the cache's entry families
-/// apart: full decompositions (no salt), own-cost baselines (kNpnCostSalt),
-/// trial decompositions with trimmed search budgets (kNpnTrialSalt).
-inline constexpr std::uint64_t kNpnCostSalt = 0x9a3bf11c52d07ae5ull;
-inline constexpr std::uint64_t kNpnTrialSalt = 0x5ec4a9d8132f760bull;
-
-constexpr std::uint64_t npn_salt(std::uint64_t fp, std::uint64_t salt) {
-  return fp ^ (salt + 0x9e3779b97f4a7c15ull + (fp << 6) + (fp >> 2));
-}
-
-/// Bounded, thread-safe LRU over (config fingerprint, function vector) →
-/// decomposition result. Three entry families share it (DESIGN.md §14):
-///  - singleton full decompositions, keyed by the NPN-canonical table and
-///    stored in the canonical domain (see npn_cached_decompose);
-///  - multi-output vector decompositions and trial decompositions, keyed by
-///    the exact function vector (identity transform — NPN canonization of a
-///    shared-input vector is not worth its cost);
-///  - own-cost baselines (Entry::cost), keyed by the NPN-canonical table
-///    under kNpnCostSalt.
-/// Negative results (typed DecomposeError) are cached too: re-discovering
-/// that a class has no non-trivial bound set costs the same search as a
-/// success.
+/// Bounded, thread-safe LRU over exact keys. Negative results (typed
+/// DecomposeError) are cached too: re-discovering that a vector has no
+/// non-trivial bound set costs the same search as a success.
 class NpnCache {
  public:
-  explicit NpnCache(const NpnCacheOptions& opts = {}) : opts_(opts) {}
+  explicit NpnCache(std::size_t max_entries = 4096)
+      : max_entries_(max_entries) {}
 
-  /// Cached value. Exactly one of dec/error/cost is set; dec entries for
-  /// singleton NPN keys live in the canonical domain.
+  /// Everything a cached result depends on, compared exactly.
+  struct Key {
+    CacheFamily family = CacheFamily::decomposition;
+    std::vector<std::uint64_t> options;  ///< the run's decomposition knobs
+    std::vector<TruthTable> tables;      ///< the function tuple
+    bool operator==(const Key&) const = default;
+  };
+
+  /// Cached value. Exactly one of dec/error/cost is set.
   struct Entry {
     std::optional<Decomposition> dec;
     std::optional<DecomposeError> error;
-    std::optional<unsigned> cost;  ///< own-cost baseline (codewidth)
+    std::optional<unsigned> cost;  ///< trial q or own-cost codewidth
   };
 
-  const NpnCacheOptions& options() const { return opts_; }
-
   /// nullopt = miss. Publishes cache.npn.{hit,miss} counters.
-  std::optional<Entry> lookup(std::uint64_t config_fp,
-                              const std::vector<TruthTable>& key);
+  std::optional<Entry> lookup(const Key& key);
   /// Insert (or refresh) an entry; evicts LRU past capacity
   /// (cache.npn.evict).
-  void store(std::uint64_t config_fp, const std::vector<TruthTable>& key,
-             Entry e);
+  void store(Key key, Entry e);
   void clear();
 
   struct Stats {
@@ -126,14 +71,11 @@ class NpnCache {
   void note_verify_failure();
 
  private:
-  struct Key {
-    std::uint64_t fp;
-    std::vector<TruthTable> tables;
-    bool operator==(const Key&) const = default;
-  };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      std::size_t h = k.fp * 0x9e3779b97f4a7c15ull;
+      std::size_t h =
+          static_cast<std::size_t>(k.family) * 0x9e3779b97f4a7c15ull;
+      for (std::uint64_t o : k.options) h = (h * 0x100000001b3ull) ^ o;
       for (const TruthTable& t : k.tables)
         h = (h * 0x100000001b3ull) ^ t.hash() ^ t.num_vars();
       return h;
@@ -141,25 +83,11 @@ class NpnCache {
   };
   using Lru = std::list<std::pair<Key, Entry>>;
 
-  NpnCacheOptions opts_;
+  std::size_t max_entries_;
   mutable std::mutex mu_;
   Lru lru_;  // front = most recent
   std::unordered_map<Key, Lru::iterator, KeyHash> index_;
   Stats stats_;
 };
-
-/// One cached decomposition of `f`: canonicalize, consult the cache, on miss
-/// run `decompose_canonical` on the representative and store what it
-/// returns, and either way hand back the result mapped to the original
-/// domain via npn_inverse_decomposition. With `verify_hits`, every
-/// cache-served decomposition is cross-checked by recompose() against `f`;
-/// a mismatch (defensive — the transform algebra makes it unreachable) is
-/// counted, dropped, and recomputed as a miss. Exceptions from
-/// decompose_canonical (resource trips) propagate without storing.
-NpnCache::Entry npn_cached_decompose(
-    NpnCache& cache, std::uint64_t config_fp, const TruthTable& f,
-    const std::function<NpnCache::Entry(const TruthTable&)>&
-        decompose_canonical,
-    bool verify_hits);
 
 }  // namespace imodec

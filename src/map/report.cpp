@@ -40,7 +40,6 @@ obs::Json config_json(const SynthesisConfig& c) {
   j["batch_groups"] = c.batch_groups;
   j["result_cache"] = c.result_cache;
   j["result_cache_entries"] = c.result_cache_entries;
-  j["result_cache_max_vars"] = c.result_cache_max_vars;
   return j;
 }
 

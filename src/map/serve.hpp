@@ -54,7 +54,7 @@ inline constexpr int kWireSchemaVersion = 2;
 inline constexpr int kWireSchemaVersionMin = 1;
 
 /// One warm service instance: a SynthesisSession (thread pool, recycled BDD
-/// managers, NPN result cache when the base config enables it) plus the
+/// managers, result cache when the base config enables it) plus the
 /// request parser / response builder. Not thread-safe; one Engine serves one
 /// request at a time (the Server gives each worker thread its own Engine).
 class Engine {
@@ -94,7 +94,7 @@ class Engine {
 
 struct ServerOptions {
   /// Worker threads, each owning one warm Engine (its own SynthesisSession:
-  /// thread pool, manager pool, NPN cache). Capacity = workers concurrent
+  /// thread pool, manager pool, result cache). Capacity = workers concurrent
   /// runs + queue_capacity queued requests; everything beyond that sheds.
   unsigned workers = 1;
   /// Admission queue depth (0 = queue nothing: a request is either picked up

@@ -18,12 +18,7 @@ SynthesisSession::SynthesisSession(const SynthesisConfig& cfg) : cfg_(cfg) {
   const unsigned resolved =
       cfg_.threads ? cfg_.threads : std::thread::hardware_concurrency();
   if (resolved > 1) pool_.emplace(resolved);
-  if (cfg_.result_cache) {
-    NpnCacheOptions copts;
-    copts.max_entries = cfg_.result_cache_entries;
-    copts.max_vars = cfg_.result_cache_max_vars;
-    cache_.emplace(copts);
-  }
+  if (cfg_.result_cache) cache_.emplace(cfg_.result_cache_entries);
 }
 
 DriverReport SynthesisSession::run(const Network& input, Network& mapped) {

@@ -8,7 +8,7 @@
 //  - the thread pool (pool startup),
 //  - a pool of recycled BDD managers (engine runs lease instead of
 //    constructing — unique table / computed cache / node arena stay grown),
-//  - the NPN-canonical result cache (map/npn_cache.hpp), kept only when the
+//  - the exact-keyed result cache (map/npn_cache.hpp), kept only when the
 //    base config sets result_cache.
 // Every run still observes the per-request boundary: gauge watermarks are
 // reset, and results are bit-identical to a fresh process running the same
@@ -30,9 +30,8 @@ class SynthesisSession {
  public:
   /// Precondition: cfg.validate().empty() — callers surface the diagnostics
   /// themselves (the CLI prints them and exits). Creates the pool eagerly
-  /// when the config resolves to a width > 1, and the NPN result cache when
-  /// cfg.result_cache is set (sized by cfg.result_cache_entries /
-  /// result_cache_max_vars).
+  /// when the config resolves to a width > 1, and the result cache when
+  /// cfg.result_cache is set (sized by cfg.result_cache_entries).
   explicit SynthesisSession(const SynthesisConfig& cfg);
 
   const SynthesisConfig& config() const { return cfg_; }
@@ -40,7 +39,7 @@ class SynthesisSession {
   unsigned threads() const { return pool_ ? pool_->size() : 1; }
   /// The session's pool; nullptr when running serially.
   util::ThreadPool* pool() { return pool_ ? &*pool_ : nullptr; }
-  /// The session's NPN result cache; nullptr unless the base config enabled
+  /// The session's result cache; nullptr unless the base config enabled
   /// it. Per-request configs with result_cache=false skip it for that run.
   NpnCache* result_cache() { return cache_ ? &*cache_ : nullptr; }
   /// The session's recycled-BDD-manager pool (always present).

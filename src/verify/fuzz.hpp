@@ -5,8 +5,9 @@
 // of configurations and cross-checked three ways:
 //   1. correctness — the mapped network is proved equivalent to the input
 //      with the BDD miter (exhaustive simulation as a backstop);
-//   2. determinism — the serial (threads=1) and parallel (threads=8) runs
-//      must produce bit-identical LUT networks (DESIGN.md §9's contract);
+//   2. determinism — the serial (threads=1, result cache off) and parallel
+//      (threads=8, result cache on and warm across cases) runs must produce
+//      bit-identical LUT networks (DESIGN.md §9 and §14.3);
 //   3. error paths — configs chosen to trigger DecomposeError fallbacks
 //      (tiny max_p, tiny k) must still yield equivalent networks.
 // Any failure is shrunk (verify/shrink) to a locally minimal case and
@@ -21,8 +22,9 @@
 
 namespace imodec::verify {
 
-/// One synthesis configuration the fuzzer cross-checks. `threads` inside the
-/// config is ignored: the fuzzer always runs serial and 8-wide itself.
+/// One synthesis configuration the fuzzer cross-checks. `threads` and
+/// `result_cache` inside the config are ignored: the fuzzer always runs
+/// serial without the cache and 8-wide with it itself.
 struct FuzzConfig {
   std::string label;
   SynthesisConfig cfg;
@@ -53,7 +55,7 @@ struct FuzzFailure {
   std::size_t case_index = 0;
   std::uint64_t case_seed = 0;
   std::string config_label;
-  /// "miter" (mapped != input) or "determinism" (serial != parallel).
+  /// "miter" (mapped != input) or "determinism" (serial != cached 8-wide).
   std::string kind;
   FuzzCase original;
   FuzzCase shrunk;  // == original when shrinking is off

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "decomp/classes.hpp"
 #include "logic/net2bdd.hpp"
@@ -118,6 +120,39 @@ TEST(Partitions, ProductWithSelfIsIdentity) {
   EXPECT_EQ(prod.num_classes, l1.num_classes);
   EXPECT_TRUE(prod.refines(l1));
   EXPECT_TRUE(l1.refines(prod));
+}
+
+TEST(Partitions, ProductNumbersExactTuplesInFirstOccurrenceOrder) {
+  // Oracle: number the per-vertex class tuples in first-occurrence order.
+  // b = 10 with up to 2^b classes per factor also drives the hash-map pair
+  // table that keeps wide bound sets from allocating classes x ℓ slots.
+  Rng rng(0x9a27);
+  for (int trial = 0; trial < 40; ++trial) {
+    const unsigned b = trial < 20 ? 5 : 10;
+    const std::uint64_t n = std::uint64_t{1} << b;
+    std::vector<VertexPartition> parts(1 + rng.below(8));
+    for (VertexPartition& p : parts) {
+      p.b = b;
+      p.num_classes = static_cast<std::uint32_t>(1 + rng.below(n));
+      p.class_of.resize(n);
+      for (std::uint32_t& c : p.class_of)
+        c = static_cast<std::uint32_t>(rng.below(p.num_classes));
+    }
+    std::vector<const VertexPartition*> ptrs;
+    for (const VertexPartition& p : parts) ptrs.push_back(&p);
+    const VertexPartition prod = VertexPartition::product(ptrs);
+
+    std::map<std::vector<std::uint32_t>, std::uint32_t> ids;
+    ASSERT_EQ(prod.class_of.size(), n);
+    for (std::uint64_t v = 0; v < n; ++v) {
+      std::vector<std::uint32_t> tuple;
+      for (const VertexPartition& p : parts) tuple.push_back(p.class_of[v]);
+      const auto [it, inserted] =
+          ids.emplace(tuple, static_cast<std::uint32_t>(ids.size()));
+      ASSERT_EQ(prod.class_of[v], it->second) << "trial " << trial;
+    }
+    EXPECT_EQ(prod.num_classes, ids.size()) << "trial " << trial;
+  }
 }
 
 TEST(LocalClasses, BddPathMatchesTruthTablePath) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "circuits/registry.hpp"
+#include "logic/pla.hpp"
 #include "logic/simulate.hpp"
 #include "map/driver.hpp"
 
@@ -91,6 +94,25 @@ TEST(Driver, FormatReportMentionsKeyFields) {
   EXPECT_NE(report.find("CLB"), std::string::npos);
   EXPECT_NE(report.find("PASS"), std::string::npos);
   EXPECT_NE(report.find("collapsed"), std::string::npos);
+}
+
+TEST(Driver, GlobalPartitionKeepsEveryClassTuple) {
+  // A global partition numbered by a hash of the per-output class tuples
+  // merged two of its 23 classes on this 8-input, 4-output PLA (p = 22), and
+  // the resulting decomposition recomposed outputs 1-3 wrongly.
+  std::istringstream pla(
+      ".i 8\n.o 4\n"
+      "01-11100 1000\n01-01010 1000\n111000-1 1000\n11100-00 1000\n"
+      "-11-1-1- 0100\n1--00-0- 0100\n01-0--00 0100\n10-10001 0100\n"
+      "-011-100 0100\n011--100 0010\n-011-101 0010\n01--1-10 0010\n"
+      "100001-0 0010\n-11011-1 0010\n1--01010 0010\n1010-00- 0001\n"
+      "-10--111 0001\n111-101- 0001\n10100101 0001\n0-1010-1 0001\n"
+      "00001101 0001\n-1110--- 0001\n.e\n");
+  const Network net = read_pla(pla);
+  Network mapped;
+  const DriverReport rep = run_synthesis(net, {}, mapped);
+  EXPECT_TRUE(rep.verified);
+  EXPECT_TRUE(rep.verify_proven);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Serving-layer tests (ctest -L serve): NPN canonicalization and its
-// inverse-transform algebra, the bounded result cache, warm-resource
-// invariants (Manager::reset, ManagerPool), the per-request session boundary
-// (warm-vs-fresh bit identity, watermark reset), and the imodec_served wire
-// schema (src/map/serve.hpp). DESIGN.md §14.
+// Serving-layer tests (ctest -L serve): the exact-keyed result cache,
+// warm-resource invariants (Manager::reset, ManagerPool), the per-request
+// session boundary (cache-on = cache-off and warm-vs-fresh bit identity,
+// watermark reset), and the imodec_served wire schema (src/map/serve.hpp).
+// DESIGN.md §14.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,6 @@
 #include "bdd/manager.hpp"
 #include "bdd/manager_pool.hpp"
 #include "circuits/registry.hpp"
-#include "decomp/single.hpp"
-#include "decomp/varpart.hpp"
 #include "logic/network.hpp"
 #include "map/errors.hpp"
 #include "map/npn_cache.hpp"
@@ -55,101 +53,37 @@ TruthTable random_table(unsigned num_vars, std::uint64_t seed) {
   return t;
 }
 
-// --- NPN transform algebra --------------------------------------------------
-
-TEST(NpnTransform, ApplyIsTheForwardOracle) {
-  for (unsigned n = 1; n <= 7; ++n) {
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const TruthTable f = random_table(n, seed * 131 + n);
-      const NpnCanonical canon = npn_canonicalize(f);
-      EXPECT_EQ(npn_apply(f, canon.transform), canon.table)
-          << "n=" << n << " seed=" << seed;
-      ASSERT_EQ(canon.transform.perm.size(), n);
-      ASSERT_EQ(canon.transform.input_flip.size(), n);
-    }
-  }
-}
-
-TEST(NpnTransform, SimpleVariantsShareOneClass) {
-  // f = (x0 & x1) | x2: asymmetric influence, so phase/perm rules are
-  // tie-free except between the symmetric pair x0/x1.
-  TruthTable f(3);
-  for (std::uint64_t r = 0; r < 8; ++r)
-    f.set(r, ((r & 1) && (r & 2)) || (r & 4));
-  const TruthTable canon = npn_canonicalize(f).table;
-
-  // (Output complement may land in a different semi-canonical class: input
-  // phases are normalized before the output phase, and complementing f
-  // flips every cofactor-weight comparison. Splits cost hit rate only.)
-  for (unsigned v = 0; v < 3; ++v)
-    EXPECT_EQ(npn_canonicalize(npn_flip_input(f, v)).table, canon)
-        << "input flip x" << v;
-  EXPECT_EQ(npn_canonicalize(f.permute({2, 1, 0})).table, canon)
-      << "variable swap";
-}
-
-/// A 6-var function decomposable by construction: f = h(d(x0..x2), x3..x5)
-/// with random d and h, so the bound set {0,1,2} has at most two classes.
-TruthTable decomposable_table(std::uint64_t seed) {
-  const TruthTable d = random_table(3, seed * 3 + 1);
-  const TruthTable h = random_table(4, seed * 3 + 2);
-  TruthTable f(6);
-  for (std::uint64_t row = 0; row < 64; ++row) {
-    const std::uint64_t code = d.get(row & 7) ? 1 : 0;
-    f.set(row, h.get(code | ((row >> 3) << 1)));
-  }
-  return f;
-}
-
-TEST(NpnTransform, InverseDecompositionRecomposesTheOriginal) {
-  int decomposed = 0;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const TruthTable f = decomposable_table(0xd00d + seed);
-    const NpnCanonical canon = npn_canonicalize(f);
-
-    VarPartOptions vopts;
-    vopts.bound_size = 3;
-    const auto choice = choose_bound_set({canon.table}, 6, vopts);
-    if (!choice) continue;  // degenerate d/h draw
-    ++decomposed;
-    const Decomposition canonical_dec =
-        decompose_single_output(canon.table, choice->vp);
-    ASSERT_EQ(recompose(canonical_dec, 0, 6), canon.table);
-
-    const Decomposition original_dec =
-        npn_inverse_decomposition(canonical_dec, canon.transform);
-    EXPECT_EQ(recompose(original_dec, 0, 6), f) << "seed=" << seed;
-  }
-  EXPECT_GT(decomposed, 6) << "property barely exercised";
-}
-
 // --- Bounded LRU cache ------------------------------------------------------
 
+NpnCache::Key key_of(std::vector<TruthTable> tables,
+                     CacheFamily family = CacheFamily::decomposition,
+                     std::vector<std::uint64_t> options = {7}) {
+  return {family, std::move(options), std::move(tables)};
+}
+
 TEST(NpnCacheTest, HitMissAndEvictionCounters) {
-  NpnCacheOptions opts;
-  opts.max_entries = 2;
-  NpnCache cache(opts);
+  NpnCache cache(/*max_entries=*/2);
 
-  const std::vector<TruthTable> a{random_table(4, 1)};
-  const std::vector<TruthTable> b{random_table(4, 2)};
-  const std::vector<TruthTable> c{random_table(4, 3)};
+  const NpnCache::Key a = key_of({random_table(4, 1)});
+  const NpnCache::Key b = key_of({random_table(4, 2)});
+  const NpnCache::Key c = key_of({random_table(4, 3)});
 
-  EXPECT_FALSE(cache.lookup(7, a));
+  EXPECT_FALSE(cache.lookup(a));
   NpnCache::Entry e;
   e.cost = 5;
-  cache.store(7, a, e);
-  const auto hit = cache.lookup(7, a);
+  cache.store(a, e);
+  const auto hit = cache.lookup(a);
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->cost, 5u);
-  // Same key under a different fingerprint is a different entry.
-  EXPECT_FALSE(cache.lookup(8, a));
+  // Same tables under different options are a different entry.
+  EXPECT_FALSE(cache.lookup(key_of(a.tables, a.family, {8})));
 
-  cache.store(7, b, e);  // a refreshed by the hit above: lru order b, a
-  cache.store(7, c, e);  // capacity 2: evicts the least recent (a)
+  cache.store(b, e);  // a refreshed by the hit above: lru order b, a
+  cache.store(c, e);  // capacity 2: evicts the least recent (a)
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup(7, a)) << "evicted entry served";
-  EXPECT_TRUE(cache.lookup(7, b));
-  EXPECT_TRUE(cache.lookup(7, c));
+  EXPECT_FALSE(cache.lookup(a)) << "evicted entry served";
+  EXPECT_TRUE(cache.lookup(b));
+  EXPECT_TRUE(cache.lookup(c));
 
   const NpnCache::Stats st = cache.stats();
   EXPECT_EQ(st.hits, 3u);
@@ -160,59 +94,20 @@ TEST(NpnCacheTest, HitMissAndEvictionCounters) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(NpnCacheTest, VectorKeysAndSaltsDoNotCollide) {
+TEST(NpnCacheTest, VectorKeysAndFamiliesDoNotCollide) {
   NpnCache cache;
   const TruthTable t = random_table(4, 9);
   NpnCache::Entry e;
   e.cost = 1;
-  cache.store(1, {t}, e);
+  cache.store(key_of({t}), e);
   // Same table twice is a different (vector) key than once.
-  EXPECT_FALSE(cache.lookup(1, {t, t}));
-  // The salted fingerprints keep entry families apart.
-  EXPECT_FALSE(cache.lookup(npn_salt(1, kNpnCostSalt), {t}));
-  EXPECT_FALSE(cache.lookup(npn_salt(1, kNpnTrialSalt), {t}));
-  EXPECT_TRUE(cache.lookup(1, {t}));
-}
-
-TEST(NpnCacheTest, CachedDecomposeHitReplaysTheMiss) {
-  NpnCache cache;
-  const TruthTable f = decomposable_table(0xbeef);
-
-  int calls = 0;
-  const auto decompose_canonical = [&](const TruthTable& canon) {
-    ++calls;
-    NpnCache::Entry ent;
-    VarPartOptions vopts;
-    vopts.bound_size = 3;
-    const auto choice = choose_bound_set({canon}, canon.num_vars(), vopts);
-    if (!choice) {
-      ent.error = DecomposeError::no_nontrivial_bound_set;
-      return ent;
-    }
-    ent.dec = decompose_single_output(canon, choice->vp);
-    return ent;
-  };
-
-  const NpnCache::Entry first =
-      npn_cached_decompose(cache, 42, f, decompose_canonical,
-                           /*verify_hits=*/true);
-  ASSERT_EQ(calls, 1);
-  const NpnCache::Entry second =
-      npn_cached_decompose(cache, 42, f, decompose_canonical,
-                           /*verify_hits=*/true);
-  EXPECT_EQ(calls, 1) << "hit went back to the decomposer";
-
-  ASSERT_TRUE(first.dec && second.dec);
-  // Bit-identity: the served decomposition equals the one the populating
-  // miss returned, and both recompose to the original function.
-  EXPECT_EQ(recompose(*first.dec, 0, 6), f);
-  EXPECT_EQ(recompose(*second.dec, 0, 6), f);
-  EXPECT_EQ(second.dec->d_funcs, first.dec->d_funcs);
-
-  const NpnCache::Stats st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.verify_failures, 0u);
+  EXPECT_FALSE(cache.lookup(key_of({t, t})));
+  // The family keeps entry kinds apart on equal tables and options.
+  EXPECT_FALSE(cache.lookup(key_of({t}, CacheFamily::trial)));
+  EXPECT_FALSE(cache.lookup(key_of({t}, CacheFamily::own_cost)));
+  // Keys are exact: an NPN variant of the table is a different entry.
+  EXPECT_FALSE(cache.lookup(key_of({~t})));
+  EXPECT_TRUE(cache.lookup(key_of({t})));
 }
 
 // --- Warm resources ---------------------------------------------------------
@@ -278,6 +173,53 @@ TEST(SessionTest, WarmRunsAreBitIdenticalToFreshProcesses) {
     warm.run(*circuits::make_benchmark(name), warm_mapped);
     EXPECT_TRUE(structurally_equal(warm_mapped, run_fresh(name, cfg)))
         << name << " diverged in the warm session";
+  }
+}
+
+TEST(SessionTest, CacheOnRunsEqualCacheOffRuns) {
+  SynthesisConfig off = serving_config();
+  off.result_cache = false;
+  SynthesisSession warm(serving_config());
+  // Each circuit maps to one network whether the cache is off, cold, warm
+  // from earlier circuits, or warm from the same circuit.
+  for (const std::string name :
+       {"rd84", "misex1", "9sym", "5xp1", "f51m", "alu2", "count", "term1",
+        "alu4"}) {
+    const Network expected = run_fresh(name, off);
+    EXPECT_TRUE(structurally_equal(run_fresh(name, serving_config()),
+                                   expected))
+        << name << ": cold cache differs from cache off";
+    for (int round = 0; round < 2; ++round) {
+      Network mapped;
+      warm.run(*circuits::make_benchmark(name), mapped);
+      EXPECT_TRUE(structurally_equal(mapped, expected))
+          << name << ": warm cache (round " << round
+          << ") differs from cache off";
+    }
+  }
+  EXPECT_GT(warm.result_cache()->stats().hits, 0u);
+}
+
+TEST(SessionTest, ClassicalRequestIsNotServedDefaultModeEntries) {
+  // The classical flow runs in single-output mode. A session that has just
+  // decomposed the same node in the default (multi-output) mode must not
+  // hand that decomposition to the classical request.
+  SynthesisConfig classical = serving_config();
+  classical.classical = true;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Network net("single7_" + std::to_string(seed));
+    std::vector<SigId> inputs;
+    for (unsigned i = 0; i < 7; ++i)
+      inputs.push_back(net.add_input("x" + std::to_string(i)));
+    net.add_output(net.add_node(inputs, random_table(7, seed)), "f");
+
+    SynthesisSession warm(serving_config());
+    Network mapped, warm_classical, cold_classical;
+    warm.run(net, mapped);
+    warm.run(net, classical, warm_classical);
+    SynthesisSession(classical).run(net, cold_classical);
+    EXPECT_TRUE(structurally_equal(warm_classical, cold_classical))
+        << "seed " << seed;
   }
 }
 

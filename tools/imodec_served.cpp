@@ -2,7 +2,7 @@
 //
 // A long-lived process wrapping a serve::Server: a bounded admission queue
 // feeding a pool of worker threads, each with its own warm serve::Engine
-// (SynthesisSession: thread pool, recycled BDD managers, NPN result cache).
+// (SynthesisSession: thread pool, recycled BDD managers, result cache).
 // Requests are line-delimited JSON on stdin (default, served serially) or on
 // a Unix stream socket (--socket, concurrent connections), responses are one
 // line of JSON each, flushed immediately. Request/response schema v2
@@ -43,9 +43,8 @@
 //   --timeout-ms <n>     per-request wall-clock deadline (0 = none)
 //   --node-budget <n>    live BDD-node budget (0 = none)
 //   --on-exhaustion <fail|degrade>
-//   --result-cache       enable the NPN-canonical result cache
+//   --result-cache       enable the exact-keyed result cache
 //   --cache-entries <n>  result-cache LRU capacity (default 4096)
-//   --cache-max-vars <n> result-cache width cutoff (default 16)
 //   --max-requests <n>   drain after n completed requests (0 = no limit)
 // Serving options:
 //   --workers <n>        concurrent synthesis lanes / warm engines (default 1)
@@ -115,7 +114,7 @@ int usage(const char* argv0) {
                "[--no-collapse] [--verify-mode m] [--max-p n] [--bound n] "
                "[--seed n] [--timeout-ms n] [--node-budget n] "
                "[--on-exhaustion fail|degrade] [--result-cache] "
-               "[--cache-entries n] [--cache-max-vars n] [--max-requests n] "
+               "[--cache-entries n] [--max-requests n] "
                "[--socket path] [--workers n] [--queue n] "
                "[--retry-after-ms n] [--max-line-bytes n] "
                "[--max-connections n] [--supervise] [--pidfile path] "
@@ -597,9 +596,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-entries" && i + 1 < argc) {
         opt.cfg.result_cache_entries =
             static_cast<std::size_t>(std::stoull(argv[++i]));
-      } else if (arg == "--cache-max-vars" && i + 1 < argc) {
-        opt.cfg.result_cache_max_vars =
-            static_cast<unsigned>(std::stoul(argv[++i]));
       } else if (arg == "--max-requests" && i + 1 < argc) {
         opt.max_requests = std::stoull(argv[++i]);
       } else if (arg == "--socket" && i + 1 < argc) {

@@ -14,7 +14,7 @@ builds only) armed fault plans — and asserts the serving invariants:
     requests succeed;
   - NO CROSS-REQUEST STATE LEAKS: repeated identical requests (including
     node-budget degraded ones) produce identical result sections no matter
-    what ran between them — the warm pool and the NPN cache must be
+    what ran between them — the warm pool and the result cache must be
     invisible in the output;
   - with --faults: an armed fault never crashes the daemon, it surfaces as
     either a typed error response or a degraded-but-ok run.
@@ -178,8 +178,8 @@ def run_socket(daemon_argv, path, nreq, lines):
 
 # Result fields fully determined by the mapped network and verify verdict.
 # The other result fields report the amount of engine work performed
-# (max_p, lmax_rounds, bdd_nodes, ...) and legitimately differ between an
-# NPN-cache hit and the miss that populated it — the *network* must not.
+# (max_p, lmax_rounds, bdd_nodes, ...) and legitimately differ between a
+# result-cache hit and the miss that populated it — the *network* must not.
 NETWORK_FIELDS = ("luts", "clbs", "clb_paired_blocks", "clb_single_blocks",
                   "depth", "vectors", "max_m", "shannon_fallbacks",
                   "collapsed", "verified", "verified_exhaustive",
