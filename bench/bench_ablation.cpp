@@ -15,13 +15,11 @@
 #include <vector>
 
 #include "circuits/registry.hpp"
-#include "imodec/chi.hpp"
 #include "imodec/counting.hpp"
 #include "imodec/engine.hpp"
 #include "map/driver.hpp"
 #include "map/lutflow.hpp"
 #include "map/xc3000.hpp"
-#include "map/xc4000.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -145,54 +143,6 @@ void ablation_bound_size() {
               "support minus one)\n");
 }
 
-void ablation_sifting() {
-  std::printf("\n--- E. BDD variable sifting on χ (extension, DESIGN.md §7) "
-              "---\n");
-  std::printf("χ for a regular p-class state, dag size before/after sift:\n");
-  std::printf("%6s %6s %10s %10s\n", "l", "p", "before", "after");
-  // ℓ = 10 (p = 20) already explodes in the interleaved layout — the very
-  // point of the experiment; the guard below reports and skips such cases.
-  for (std::uint32_t ell : {4u, 6u, 8u}) {
-    const std::uint32_t p = 2 * ell;
-    OutputState st;
-    st.codewidth = codewidth(ell);
-    st.blocks.resize(1);
-    st.local_of_global.resize(p);
-    for (std::uint32_t g = 0; g < p; ++g) {
-      st.blocks[0].push_back(g);
-      // Interleaved local classes: class i owns globals i and i + ell, a
-      // deliberately ordering-hostile layout.
-      st.local_of_global[g] = g % ell;
-    }
-    bdd::Manager mgr(p);
-    const bdd::Bdd chi = build_chi(mgr, p, st);
-    const std::size_t before = chi.dag_size();
-    if (before > 100000) {
-      std::printf("%6u %6u %10zu %10s\n", ell, p, before, "(skipped)");
-      continue;
-    }
-    mgr.sift();
-    std::printf("%6u %6u %10zu %10zu\n", ell, p, before, chi.dag_size());
-  }
-}
-
-void ablation_xc4000() {
-  std::printf("\n--- F. XC4000 target (k=4 flow, H-pattern packing; "
-              "extension) ---\n");
-  std::printf("%-8s %10s %10s %10s\n", "net", "4-LUTs", "XC4000", "Hpatterns");
-  for (const std::string name : {"rd73", "rd84", "z4ml", "clip", "misex1",
-                                 "sao2"}) {
-    const auto flat = collapse_network(*circuits::make_benchmark(name));
-    if (!flat) continue;
-    FlowOptions opts;
-    opts.k = 4;
-    const FlowResult r = run_flow(*flat, opts);
-    const auto p = pack_xc4000(r.network);
-    std::printf("%-8s %10u %10u %10u\n", name.c_str(), r.stats.luts, p.clbs,
-                p.h_patterns);
-  }
-}
-
 void ablation_classical() {
   std::printf("\n--- G. combined (IMODEC) vs classical extract-then-map "
               "(paper §1) ---\n");
@@ -240,8 +190,6 @@ int main(int argc, char** argv) {
   ablation_output_partitioning();
   ablation_preferable();
   ablation_bound_size();
-  ablation_sifting();
-  ablation_xc4000();
   ablation_classical();
   if (json_path) {
     if (!sink.write(*json_path)) {

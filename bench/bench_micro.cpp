@@ -290,21 +290,6 @@ void BM_EngineRandomVector(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRandomVector)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_Sifting(benchmark::State& state) {
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    Manager mgr(n);
-    // Pair-separated AND-OR chain: the classic sifting workload.
-    Bdd f = Bdd::zero(mgr);
-    for (unsigned i = 0; i < n / 2; ++i)
-      f = f | (Bdd::var(mgr, i) & Bdd::var(mgr, n / 2 + i));
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(mgr.sift());
-  }
-}
-BENCHMARK(BM_Sifting)->Arg(8)->Arg(12)->Arg(16);
-
 void BM_MinimizeCover(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));
   const TruthTable f = random_table(n, 77);

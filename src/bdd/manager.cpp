@@ -59,10 +59,6 @@ struct DepthScope {
 }  // namespace
 
 Manager::Manager(unsigned num_vars) : num_vars_(num_vars) {
-  level_of_var_.resize(num_vars_);
-  var_at_level_.resize(num_vars_);
-  std::iota(level_of_var_.begin(), level_of_var_.end(), 0u);
-  std::iota(var_at_level_.begin(), var_at_level_.end(), 0u);
   // Arena slot 0 is the one terminal; its permanent external reference keeps
   // every GC from touching it.
   nodes_.push_back(Node{kTerminalVar, 0, 0, 1});
@@ -156,10 +152,6 @@ void Manager::reset(unsigned num_vars) {
   guard_ = nullptr;
   guard_charged_ = 0;
   num_vars_ = num_vars;
-  level_of_var_.resize(num_vars_);
-  var_at_level_.resize(num_vars_);
-  std::iota(level_of_var_.begin(), level_of_var_.end(), 0u);
-  std::iota(var_at_level_.begin(), var_at_level_.end(), 0u);
   nodes_.clear();
   nodes_.push_back(Node{kTerminalVar, 0, 0, 1});
   live_nodes_ = peak_nodes_ = 1;
@@ -167,24 +159,14 @@ void Manager::reset(unsigned num_vars) {
   std::fill(unique_.begin(), unique_.end(), 0u);
   unique_occupied_ = 0;
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
-  indeg_.clear();
   gc_threshold_ = 1u << 14;
-  in_reorder_ = false;
   in_governed_ = false;
   ite_depth_ = ite_depth_max_ = 0;
   quant_depth_ = quant_depth_max_ = 0;
   stats_ = Stats{};
 }
 
-void Manager::add_vars(unsigned extra) {
-  for (unsigned i = 0; i < extra; ++i) {
-    // New variables enter at the bottom of the order, whatever the current
-    // permutation looks like.
-    level_of_var_.push_back(num_vars_ + i);
-    var_at_level_.push_back(num_vars_ + i);
-  }
-  num_vars_ += extra;
-}
+void Manager::add_vars(unsigned extra) { num_vars_ += extra; }
 
 void Manager::assert_live(NodeId f) const {
   (void)f;
@@ -212,18 +194,16 @@ NodeId Manager::make_node(unsigned v, NodeId lo_e, NodeId hi_e) {
   // site gives sub-operation granularity for deadlines and cancellation.
   // Unwinding from a checkpoint is safe at this point — nothing has been
   // mutated yet and half-built recursion results are just future garbage.
-  // Suppressed during reordering, where an unwind mid-swap would corrupt the
-  // in-place rewrite.
-  if (guard_ && !in_reorder_) guard_->checkpoint();
+  if (guard_) guard_->checkpoint();
   // Canonical form: regular hi child; the complement moves to the result.
   const NodeId comp = hi_e & 1u;
   lo_e ^= comp;
   hi_e ^= comp;
   assert(v < num_vars_);
-  assert(is_terminal(lo_e) ||
-         level_of_var_[nodes_[lo_e >> 1].var] > level_of_var_[v]);
-  assert(is_terminal(hi_e) ||
-         level_of_var_[nodes_[hi_e >> 1].var] > level_of_var_[v]);
+  // Fixed order: children branch on strictly larger variable indices (the
+  // terminal's kTerminalVar is larger than every variable).
+  assert(nodes_[lo_e >> 1].var > v);
+  assert(nodes_[hi_e >> 1].var > v);
 
   const std::size_t mask = unique_.size() - 1;
   std::size_t slot = hash_triple(v, lo_e, hi_e) & mask;
@@ -244,7 +224,7 @@ NodeId Manager::make_node(unsigned v, NodeId lo_e, NodeId hi_e) {
     free_head_ = nodes_[idx].lo;  // free list chains through lo
   } else {
     if constexpr (util::fault::enabled())
-      if (guard_ && !in_reorder_ && util::fault::poll_alloc())
+      if (guard_ && util::fault::poll_alloc())
         throw std::bad_alloc{};  // exercises the governed() GC-retry ladder
     idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(Node{});  // bad_alloc unwinds to governed()'s recovery
@@ -255,7 +235,7 @@ NodeId Manager::make_node(unsigned v, NodeId lo_e, NodeId hi_e) {
   ++live_nodes_;
   ++stats_.nodes_allocated;
   if (live_nodes_ > peak_nodes_) peak_nodes_ = live_nodes_;
-  if (guard_ && !in_reorder_) {
+  if (guard_) {
     guard_->charge_nodes(1);
     ++guard_charged_;
     // Budget enforcement is per manager — per work unit — so whether a
@@ -421,12 +401,12 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   if (g == kTrue && h == kFalse) return f;
   if (g == kFalse && h == kTrue) return f ^ 1u;
 
-  // Commutative forms (AND/OR/XOR shapes) pick the (level, index)-smaller
+  // Commutative forms (AND/OR/XOR shapes) pick the (variable, edge)-smaller
   // operand as the selector so both argument orders share one cache entry.
   const auto precedes = [this](NodeId x_regular, NodeId y_regular) {
-    const unsigned lx = level_of_var_[nodes_[x_regular >> 1].var];
-    const unsigned ly = level_of_var_[nodes_[y_regular >> 1].var];
-    return lx < ly || (lx == ly && x_regular < y_regular);
+    const unsigned vx = var_of(x_regular);
+    const unsigned vy = var_of(y_regular);
+    return vx < vy || (vx == vy && x_regular < y_regular);
   };
   if (g == kTrue) {  // f OR h
     if (!is_terminal(h) && precedes(h & ~1u, f)) {
@@ -478,24 +458,20 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   NodeId r = cached(Op::Ite, f, g, h, 0);
   if (r != kNotFound) return r ^ comp;
 
-  // Split on the top variable of the triple.
-  unsigned level = level_of_var_[nodes_[f >> 1].var];
-  if (!is_terminal(g))
-    level = std::min(level, level_of_var_[nodes_[g >> 1].var]);
-  if (!is_terminal(h))
-    level = std::min(level, level_of_var_[nodes_[h >> 1].var]);
-  const unsigned v = var_at_level_[level];
+  // Split on the top variable of the triple (terminals carry kTerminalVar,
+  // which no variable index reaches).
+  const unsigned v = std::min({var_of(f), var_of(g), var_of(h)});
 
   NodeId f0 = f, f1 = f, g0 = g, g1 = g, h0 = h, h1 = h;
   if (nodes_[f >> 1].var == v) {
     f0 = lo(f);
     f1 = hi(f);
   }
-  if (!is_terminal(g) && nodes_[g >> 1].var == v) {
+  if (var_of(g) == v) {
     g0 = lo(g);
     g1 = hi(g);
   }
-  if (!is_terminal(h) && nodes_[h >> 1].var == v) {
+  if (var_of(h) == v) {
     h0 = lo(h);
     h1 = hi(h);
   }
@@ -544,12 +520,12 @@ NodeId Manager::var(unsigned v) {
 NodeId Manager::cube(const std::vector<unsigned>& vars,
                      const std::vector<bool>& phases) {
   assert(vars.size() == phases.size());
-  // Build bottom-up in the current order; make_node wants ordered children.
+  // Build bottom-up (largest variable first); make_node wants ordered
+  // children.
   std::vector<std::size_t> idx(vars.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return level_of_var_[vars[a]] > level_of_var_[vars[b]];
-  });
+  std::sort(idx.begin(), idx.end(),
+            [&](std::size_t a, std::size_t b) { return vars[a] > vars[b]; });
   return governed({}, [&] {
     NodeId acc = kTrue;
     for (std::size_t k : idx) {
@@ -568,12 +544,11 @@ NodeId Manager::cofactor_rec(NodeId f, unsigned v, bool value) {
   const NodeId c = f & 1u;
   const NodeId fr = f ^ c;
   // Copy the fields out: the recursive calls below can grow the arena, so no
-  // reference into nodes_ may live across them (cf. the re-take in
-  // swap_levels).
+  // reference into nodes_ may live across them.
   const unsigned nvar = nodes_[fr >> 1].var;
   const NodeId nlo = nodes_[fr >> 1].lo;
   const NodeId nhi = nodes_[fr >> 1].hi;
-  if (level_of_var_[nvar] > level_of_var_[v]) return f;
+  if (nvar > v) return f;
   if (nvar == v) return (value ? nhi : nlo) ^ c;
   const std::uint64_t tag = (static_cast<std::uint64_t>(v) << 1) | value;
   NodeId r = cached(Op::Cofactor, fr, 0, 0, tag);
@@ -600,7 +575,7 @@ NodeId Manager::quantify_rec(NodeId f, const std::vector<unsigned>& sorted_vars,
   // Copy var and children out before recursing: the recursion grows the
   // arena, so references into nodes_ must not survive it.
   const unsigned nvar = nodes_[f >> 1].var;
-  if (level_of_var_[nvar] > deepest) return f;  // no quantified var below
+  if (nvar > deepest) return f;  // no quantified var below
   const Op op = existential ? Op::Exists : Op::Forall;
   NodeId r = cached(op, f, 0, 0, tag);
   if (r != kNotFound) return r;
@@ -629,8 +604,7 @@ NodeId Manager::exists(NodeId f, const std::vector<unsigned>& vars) {
   std::vector<unsigned> sorted(vars);
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  unsigned deepest = 0;
-  for (unsigned v : sorted) deepest = std::max(deepest, level_of_var_[v]);
+  const unsigned deepest = sorted.back();
   // Exact cache key (CUDD-style): the positive cube of the quantified set.
   // Its NodeId is canonical via the unique table and the computed cache is
   // flushed on GC, so distinct variable sets can never alias — unlike a
@@ -662,8 +636,7 @@ NodeId Manager::forall(NodeId f, const std::vector<unsigned>& vars) {
   std::vector<unsigned> sorted(vars);
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  unsigned deepest = 0;
-  for (unsigned v : sorted) deepest = std::max(deepest, level_of_var_[v]);
+  const unsigned deepest = sorted.back();
   // Same exact cube key as exists(); the Op enum separates the two caches.
   const bool measure = obs::enabled();
   if (measure) quant_depth_max_ = quant_depth_;
@@ -832,12 +805,11 @@ void Manager::foreach_minterm(
     NodeId f, const std::vector<unsigned>& vars,
     const std::function<bool(const std::vector<bool>&)>& cb) {
   assert_live(f);
-  // Walk positions in level order so the cube expansion descends the DAG.
+  // Walk positions in variable order so the cube expansion descends the DAG.
   std::vector<std::size_t> order(vars.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return level_of_var_[vars[a]] < level_of_var_[vars[b]];
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return vars[a] < vars[b]; });
   std::vector<bool> assignment(vars.size(), false);
   std::function<bool(NodeId, std::size_t)> rec = [&](NodeId g,
                                                      std::size_t k) -> bool {
@@ -862,188 +834,6 @@ void Manager::foreach_minterm(
   rec(f, 0);
 }
 
-// --- Reordering --------------------------------------------------------------
-
-void Manager::swap_levels(unsigned level) {
-  assert(level + 1 < num_vars_);
-  ++stats_.sift_swaps;
-  // The in-place rewrite below must run to completion: suppress governance
-  // checkpoints (an unwind mid-swap would leave relabeled nodes with stale
-  // unique-table slots).
-  const bool was_reordering = in_reorder_;
-  in_reorder_ = true;
-  struct Reset {
-    bool* flag;
-    bool prev;
-    ~Reset() { *flag = prev; }
-  } reset{&in_reorder_, was_reordering};
-  const unsigned u = var_at_level_[level];
-  const unsigned v = var_at_level_[level + 1];
-  // Install the new order first: the make_node calls below must already see
-  // v above u.
-  var_at_level_[level] = v;
-  var_at_level_[level + 1] = u;
-  level_of_var_[u] = level + 1;
-  level_of_var_[v] = level;
-
-  // Rewrite every u-node that touches v in place, so edges into it keep
-  // denoting the same function. New (u, ...) children never touch v (their
-  // children sit at deeper levels), so sharing lookups below stay safe even
-  // while the loop is mid-flight.
-  const bool track = !indeg_.empty();  // sift() keeps in-degrees live
-  std::vector<std::uint32_t> maybe_dead;
-  const std::uint32_t end = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t i = 1; i < end; ++i) {
-    if (nodes_[i].var != u) continue;
-    const NodeId flo = nodes_[i].lo;  // may carry a complement
-    const NodeId fhi = nodes_[i].hi;  // regular by canonical form
-    const bool lo_v = !is_terminal(flo) && nodes_[flo >> 1].var == v;
-    const bool hi_v = !is_terminal(fhi) && nodes_[fhi >> 1].var == v;
-    if (!lo_v && !hi_v) continue;
-    const NodeId f00 = lo_v ? lo(flo) : flo;
-    const NodeId f01 = lo_v ? hi(flo) : flo;
-    const NodeId f10 = hi_v ? nodes_[fhi >> 1].lo : fhi;
-    const NodeId f11 = hi_v ? nodes_[fhi >> 1].hi : fhi;
-    std::size_t live_before = live_nodes_;
-    const NodeId nl = make_node(u, f00, f10);
-    const bool nl_fresh = live_nodes_ != live_before;
-    live_before = live_nodes_;
-    // f11 is a stored hi (regular), so the new hi edge stays regular and the
-    // in-place rewrite preserves canonical form.
-    const NodeId nh = make_node(u, f01, f11);
-    const bool nh_fresh = live_nodes_ != live_before;
-    assert((nh & 1u) == 0);
-    assert(nl != nh && "swap collapsed a node that branches on v");
-    if (track) {
-      if (indeg_.size() < nodes_.size()) indeg_.resize(nodes_.size(), 0);
-      // Node i drops its edges to flo/fhi and gains edges to nl/nh; freshly
-      // created nodes contribute the edges to their own children.
-      --indeg_[flo >> 1];
-      --indeg_[fhi >> 1];
-      ++indeg_[nl >> 1];
-      ++indeg_[nh >> 1];
-      if (nl_fresh) {
-        ++indeg_[f00 >> 1];
-        ++indeg_[f10 >> 1];
-      }
-      if (nh_fresh) {
-        ++indeg_[f01 >> 1];
-        ++indeg_[f11 >> 1];
-      }
-      maybe_dead.push_back(flo >> 1);
-      maybe_dead.push_back(fhi >> 1);
-    }
-    Node& n = nodes_[i];  // re-take: make_node may reallocate the arena
-    n.var = v;
-    n.lo = nl;
-    n.hi = nh;
-  }
-  if (track) {
-    // Eagerly reclaim nodes the rewrite orphaned (cascading through their
-    // children) so live_nodes_ stays the exact reachable count and sift()
-    // never needs an O(arena) mark traversal. Safe here: sift() runs a full
-    // GC first and swap_levels never inserts computed-cache entries, so the
-    // cache holds no ids that could be recycled.
-    while (!maybe_dead.empty()) {
-      const std::uint32_t c = maybe_dead.back();
-      maybe_dead.pop_back();
-      if (c == 0 || nodes_[c].var == kFreeVar_) continue;
-      if (indeg_[c] != 0 || nodes_[c].ref != 0) continue;
-      const std::uint32_t cl = nodes_[c].lo >> 1;
-      const std::uint32_t ch = nodes_[c].hi >> 1;
-      --indeg_[cl];
-      --indeg_[ch];
-      maybe_dead.push_back(cl);
-      maybe_dead.push_back(ch);
-      nodes_[c].var = kFreeVar_;
-      nodes_[c].lo = free_head_;
-      nodes_[c].ref = 0;
-      free_head_ = c;
-      --live_nodes_;
-    }
-  }
-  // The in-place relabeling leaves stale unique-table slots; rebuild. (The
-  // computed cache stays: it memoizes function identities, and those are
-  // preserved by reordering.)
-  unique_rehash(unique_.size());
-  sync_guard_charge();
-}
-
-std::size_t Manager::reachable_node_count() const {
-  std::vector<bool> mark(nodes_.size(), false);
-  mark[0] = true;
-  std::size_t count = 1;
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i)
-    if (nodes_[i].var != kFreeVar_ && nodes_[i].ref > 0) stack.push_back(i);
-  while (!stack.empty()) {
-    const std::uint32_t i = stack.back();
-    stack.pop_back();
-    if (i == 0 || mark[i]) continue;
-    mark[i] = true;
-    ++count;
-    stack.push_back(nodes_[i].lo >> 1);
-    stack.push_back(nodes_[i].hi >> 1);
-  }
-  return count;
-}
-
-std::size_t Manager::sift() {
-  ++stats_.sift_runs;
-  garbage_collect();
-  if (num_vars_ < 2) return live_nodes_;
-  // After the GC every arena node is reachable, so live_nodes_ equals the
-  // reachable count. Track in-degrees while sifting: swap_levels reclaims
-  // orphans eagerly, keeping live_nodes_ exact, and each swap's cost is just
-  // its rewrite work — no O(arena) mark traversal per position.
-  indeg_.assign(nodes_.size(), 0);
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].var == kFreeVar_) continue;
-    ++indeg_[nodes_[i].lo >> 1];
-    ++indeg_[nodes_[i].hi >> 1];
-  }
-  // Largest level population first — Rudell's ordering heuristic.
-  std::vector<std::size_t> pop(num_vars_, 0);
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i)
-    if (nodes_[i].var != kFreeVar_) ++pop[nodes_[i].var];
-  std::vector<unsigned> vars(num_vars_);
-  std::iota(vars.begin(), vars.end(), 0u);
-  std::sort(vars.begin(), vars.end(),
-            [&](unsigned a, unsigned b) { return pop[a] > pop[b]; });
-  for (unsigned x : vars) {
-    std::size_t best = live_nodes_;
-    unsigned best_level = level_of_var_[x];
-    // Sink to the bottom, then float to the top, tracking the best position.
-    while (level_of_var_[x] + 1 < num_vars_) {
-      swap_levels(level_of_var_[x]);
-      if (live_nodes_ < best) {
-        best = live_nodes_;
-        best_level = level_of_var_[x];
-      }
-    }
-    while (level_of_var_[x] > 0) {
-      swap_levels(level_of_var_[x] - 1);
-      if (live_nodes_ < best) {
-        best = live_nodes_;
-        best_level = level_of_var_[x];
-      }
-    }
-    while (level_of_var_[x] < best_level) swap_levels(level_of_var_[x]);
-  }
-  indeg_.clear();
-  assert(live_nodes_ == reachable_node_count());
-  return live_nodes_;
-}
-
-void Manager::set_order(const std::vector<unsigned>& var_at_level) {
-  assert(var_at_level.size() == num_vars_);
-  for (unsigned l = 0; l < num_vars_; ++l) {
-    const unsigned target = var_at_level[l];
-    assert(level_of(target) >= l && "input is not a permutation");
-    while (level_of(target) > l) swap_levels(level_of(target) - 1);
-  }
-}
-
 // --- Introspection -----------------------------------------------------------
 
 const char* Manager::op_class_name(unsigned cls) {
@@ -1061,8 +851,6 @@ void Manager::publish_stats(const char* prefix) const {
   reg.counter(p + ".cache_lookups").add(stats_.cache_lookups);
   reg.counter(p + ".cache_hits").add(stats_.cache_hits);
   reg.counter(p + ".gc_runs").add(stats_.gc_runs);
-  reg.counter(p + ".sift_runs").add(stats_.sift_runs);
-  reg.counter(p + ".sift_swaps").add(stats_.sift_swaps);
   for (unsigned cls = 0; cls < Stats::kOpClasses; ++cls) {
     const std::string op = op_class_name(cls);
     reg.counter(p + ".cache_lookups." + op).add(stats_.op_lookups[cls]);
@@ -1080,11 +868,6 @@ void Manager::publish_stats(const char* prefix) const {
 }
 
 bool Manager::check_invariants() const {
-  // The level maps must be inverse permutations.
-  for (unsigned v = 0; v < num_vars_; ++v) {
-    if (level_of_var_[v] >= num_vars_) return false;
-    if (var_at_level_[level_of_var_[v]] != v) return false;
-  }
   if (nodes_.empty() || nodes_[0].var != kTerminalVar) return false;
   if (nodes_[0].ref == 0) return false;
   std::size_t live = 1;
@@ -1100,8 +883,7 @@ bool Manager::check_invariants() const {
       const std::uint32_t ci = child >> 1;
       if (ci >= nodes_.size()) return false;
       if (nodes_[ci].var == kFreeVar_) return false;
-      if (ci != 0 && level_of_var_[nodes_[ci].var] <= level_of_var_[n.var])
-        return false;
+      if (nodes_[ci].var <= n.var) return false;
     }
     if (!triples.insert({n.var, n.lo, n.hi}).second) return false;
   }

@@ -20,11 +20,10 @@
 // NodeId held across a garbage collection (instead of through a handle)
 // fails fast instead of silently denoting a recycled node.
 //
-// Variable order starts as the identity over the manager's variable indices
-// but can be changed at runtime: swap_levels() exchanges two adjacent levels
-// in place (Rudell-style), sift() runs the classical sifting heuristic, and
-// set_order() installs an arbitrary order. Node ids and the functions they
-// denote are preserved across reordering; only the internal shapes change.
+// The variable order is fixed: variable v sits at level v, so every node's
+// children branch on strictly larger variable indices. The IMODEC flow builds
+// χ over z1…zp in index order and never needs another order, so there is no
+// dynamic reordering and no level map to consult.
 
 #include <cstdint>
 #include <functional>
@@ -77,18 +76,13 @@ class Manager {
 
   /// Recycle the manager for a fresh run over `num_vars` variables: the
   /// arena shrinks to the terminal, the unique and computed tables are
-  /// cleared, order/stats/depth watermarks restart, and any guard detaches —
+  /// cleared, stats/depth watermarks restart, and any guard detaches —
   /// but every allocation (arena capacity, table sizes) is kept, so a warm
   /// manager never pays cold growth again. This is the serving-layer
   /// primitive behind bdd::ManagerPool (manager_pool.hpp): a reset manager
   /// is observationally a freshly constructed one with pre-grown tables.
   /// Pre: no live Bdd handles into this manager.
   void reset(unsigned num_vars);
-
-  /// Current level (depth in the order, 0 = top) of variable `v`.
-  unsigned level_of(unsigned v) const { return level_of_var_[v]; }
-  /// Variable at level `l`.
-  unsigned var_at(unsigned l) const { return var_at_level_[l]; }
 
   NodeId zero() const { return kFalse; }
   NodeId one() const { return kTrue; }
@@ -151,20 +145,6 @@ class Manager {
   void foreach_minterm(NodeId f, const std::vector<unsigned>& vars,
                        const std::function<bool(const std::vector<bool>&)>& cb);
 
-  // --- Dynamic variable reordering -------------------------------------------
-  /// Exchange the variables at `level` and `level + 1` in place. Every edge
-  /// keeps denoting the same function. (Computed-table entries stay valid:
-  /// they cache function identities, which reordering preserves.)
-  void swap_levels(unsigned level);
-  /// Rudell's sifting: move each variable (largest level population first)
-  /// through all positions and leave it where the reachable node count is
-  /// minimal. Runs a garbage collection first. Returns the reachable node
-  /// count after sifting.
-  std::size_t sift();
-  /// Install an arbitrary order: var_at_level[l] is the variable for level l
-  /// (must be a permutation of 0..num_vars-1). Implemented as bubble swaps.
-  void set_order(const std::vector<unsigned>& var_at_level);
-
   // --- Introspection / maintenance -------------------------------------------
   /// Hot-path event counts, updated unconditionally (plain increments next to
   /// hash probes — noise-level cost). Consumers fold them into the
@@ -175,8 +155,6 @@ class Manager {
     std::uint64_t cache_lookups = 0;    // computed-table probes
     std::uint64_t cache_hits = 0;
     std::uint64_t gc_runs = 0;
-    std::uint64_t sift_runs = 0;
-    std::uint64_t sift_swaps = 0;  // swap_levels calls (sifting or manual)
     // Computed-table probes/hits split by operation class, indexed by
     // static_cast<uint32_t>(Op) - 1; see op_class_name().
     static constexpr unsigned kOpClasses = 4;
@@ -206,8 +184,6 @@ class Manager {
   /// Current capacities of the flat tables (tests pin resize invariants).
   std::size_t unique_table_size() const { return unique_.size(); }
   std::size_t computed_cache_size() const { return cache_.size(); }
-  /// Nodes reachable from externally referenced roots (the sifting metric).
-  std::size_t reachable_node_count() const;
   /// Reclaim dead nodes now; invoked automatically during growth.
   void garbage_collect();
 
@@ -279,25 +255,16 @@ class Manager {
   static constexpr std::uint32_t kFreeVar_ = 0xfffffffeu;
 
   unsigned num_vars_;
-  std::vector<unsigned> level_of_var_;
-  std::vector<unsigned> var_at_level_;
   std::vector<Node> nodes_;       // arena; index 0 is the terminal
   std::vector<NodeId> unique_;    // open-addressed node indices; 0 = empty
   std::size_t unique_occupied_ = 0;  // filled slots (stale entries included)
   std::vector<CacheEntry> cache_;    // direct-mapped, lossy
   std::uint32_t free_head_ = 0;      // arena free list; 0 = empty
-  // Per-node in-edge counts, non-empty only while sift() runs: lets
-  // swap_levels reclaim orphans eagerly so live_nodes_ stays the exact
-  // reachable count during reordering.
-  std::vector<std::uint32_t> indeg_;
   std::size_t live_nodes_ = 0;
   std::size_t peak_nodes_ = 0;
   std::size_t gc_threshold_ = 1u << 14;
   util::ResourceGuard* guard_ = nullptr;  // not owned
   std::size_t guard_charged_ = 0;  // live nodes reported to guard_ so far
-  // Reordering moves nodes in place; an exception mid-swap would corrupt the
-  // tables, so governance checkpoints are suppressed while this is set.
-  bool in_reorder_ = false;
   // True while the outermost governed() frame runs; nested public calls
   // (var/cube from inside a recursion) must not start their own recovery.
   bool in_governed_ = false;

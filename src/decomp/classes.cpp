@@ -90,9 +90,4 @@ std::vector<std::vector<std::uint32_t>> local_to_global(
   return contains;
 }
 
-std::uint32_t column_multiplicity(const TruthTable& f,
-                                  const VarPartition& vp) {
-  return local_partition_tt(f, vp).num_classes;
-}
-
 }  // namespace imodec

@@ -4,8 +4,8 @@
 // Two bound-set vertices are compatible for output f iff all their
 // decomposition-chart columns agree (Def. 1); the equivalence classes are the
 // local classes, and their product over all outputs is the global partition
-// (Def. 2). Both a truth-table path and a BDD-cofactor path are provided;
-// the tests cross-check them against each other.
+// (Def. 2). The flow computes local partitions from truth tables; the
+// BDD-cofactor version is the test oracle they are cross-checked against.
 
 #include "bdd/bdd.hpp"
 #include "decomp/types.hpp"
@@ -17,9 +17,10 @@ namespace imodec {
 /// BS-vertex index, so results are deterministic.
 VertexPartition local_partition_tt(const TruthTable& f, const VarPartition& vp);
 
-/// Same, computed from a BDD: `f` must live in a manager whose variable
-/// order has bs_vars anywhere; vertices are enumerated by cofactoring on
-/// bs_vars in the given order (vertex bit i = value of bs_vars[i]).
+/// Same, computed from a BDD (the test oracle for local_partition_tt):
+/// bs_vars may be any of the manager's variables; vertices are enumerated by
+/// cofactoring on bs_vars in the given order (vertex bit i = value of
+/// bs_vars[i]).
 VertexPartition local_partition_bdd(const bdd::Bdd& f,
                                     const std::vector<unsigned>& bs_vars);
 
@@ -31,8 +32,5 @@ VertexPartition global_partition(const std::vector<VertexPartition>& locals);
 /// partition refines every local one).
 std::vector<std::vector<std::uint32_t>> local_to_global(
     const VertexPartition& local, const VertexPartition& global);
-
-/// Column multiplicity shortcut: number of local classes.
-std::uint32_t column_multiplicity(const TruthTable& f, const VarPartition& vp);
 
 }  // namespace imodec

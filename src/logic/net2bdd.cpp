@@ -8,12 +8,11 @@ bdd::Bdd table_bdd(bdd::Manager& mgr, const TruthTable& tt,
                    const std::vector<unsigned>& vars) {
   assert(vars.size() == tt.num_vars());
   // Recursive Shannon expansion on table variables ordered by their BDD
-  // level (deepest first) so intermediate results stay reduced.
+  // variable index so intermediate results stay reduced.
   std::vector<std::size_t> order(vars.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return mgr.level_of(vars[a]) < mgr.level_of(vars[b]);
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return vars[a] < vars[b]; });
 
   // Iterate rows: build as OR of minterm cubes would be exponential in
   // general; instead do recursive splitting over table variables.

@@ -5,7 +5,9 @@
 // Truth tables are the carrier representation for node functions in the
 // logic network and for the explicit (non-implicit) reference algorithms that
 // the tests cross-check the implicit engine against. n is capped at
-// kMaxVars = 22 (4 Mbit) — beyond that the BDD path takes over.
+// kMaxVars = 22 (4 Mbit): the parsers reject wider nodes, and for a wider
+// network collapse_network returns nullopt and the driver restructures the
+// multi-level network instead.
 
 #include <cstdint>
 #include <string>

@@ -543,7 +543,11 @@ class Flow {
         for (SigId s : c.group) process_single(s);
         return;
       }
-      shannon_fallback(c.group.front());
+      // Guaranteed-progress fallback on a fixed pivot, variable 0 (the golden
+      // pins depend on it); the degradation ladder picks the most binate
+      // variable instead (see shannon_degrade).
+      ++stats_.shannon_fallbacks;
+      shannon_split(c.group.front(), 0);
       return;
     }
 
@@ -715,15 +719,6 @@ class Flow {
     return s;
   }
 
-  /// Guaranteed-progress fallback: f = ite(x, f1, f0) with a 3-input mux.
-  /// The ungoverned flow splits on variable 0 (kept for bit-identical
-  /// results with earlier versions); the degradation ladder picks the most
-  /// binate variable instead (see most_binate_var).
-  void shannon_fallback(SigId s) {
-    ++stats_.shannon_fallbacks;
-    shannon_split(s, 0);
-  }
-
   /// Ladder step 3 and drain mode: Shannon split on the most binate
   /// variable, so the two cofactors are as balanced as the cheap metric can
   /// tell and the drain produces fewer mux levels than a fixed pivot would.
@@ -753,6 +748,7 @@ class Flow {
     return best_v;
   }
 
+  /// f = ite(x_v, f1, f0) with a 3-input mux over the two cofactors.
   void shannon_split(SigId s, unsigned v) {
     // Copy fanins/function: materialize() may grow the node arena and
     // invalidate references into it.

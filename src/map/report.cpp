@@ -117,8 +117,6 @@ std::optional<obs::Json> kernel_json(
       static_cast<double>(gauge("unique_load_ppm")) / 1e6;
   j["peak_arena_bytes"] = gauge("peak_arena_bytes");
   j["gc_runs"] = counter("gc_runs");
-  j["sift_runs"] = counter("sift_runs");
-  j["sift_swaps"] = counter("sift_swaps");
   obs::Json rates = obs::Json::object();
   for (unsigned cls = 0; cls < bdd::Manager::Stats::kOpClasses; ++cls) {
     const char* op = bdd::Manager::op_class_name(cls);

@@ -21,7 +21,7 @@
 namespace imodec {
 
 /// Current value of the report's "schema_version" field.
-inline constexpr int kRunReportSchemaVersion = 1;
+inline constexpr int kRunReportSchemaVersion = 2;
 
 /// Build the report document for one finished run. Pulls counters, gauges,
 /// histograms and flight events from the process-wide observability state at

@@ -203,8 +203,8 @@ TEST(LocalClasses, ConstantAndBsIndependentFunctions) {
 }
 
 TEST(ColumnMultiplicity, MatchesLocalClasses) {
-  EXPECT_EQ(column_multiplicity(paper_f1(), paper_vp()), 3u);
-  EXPECT_EQ(column_multiplicity(paper_f2(), paper_vp()), 4u);
+  EXPECT_EQ(local_partition_tt(paper_f1(), paper_vp()).num_classes, 3u);
+  EXPECT_EQ(local_partition_tt(paper_f2(), paper_vp()).num_classes, 4u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the network -> BDD bridge (table_bdd / signal_bdd), including
-// behaviour under reordered managers.
+// Tests for the network -> BDD bridge (table_bdd / signal_bdd).
 
 #include <gtest/gtest.h>
 
@@ -32,21 +31,6 @@ TEST(TableBdd, ConstantTables) {
   Manager mgr(3);
   EXPECT_TRUE(table_bdd(mgr, TruthTable(2), {0, 1}).is_zero());
   EXPECT_TRUE(table_bdd(mgr, TruthTable(2, true), {0, 1}).is_one());
-}
-
-TEST(TableBdd, WorksUnderReorderedManager) {
-  Manager mgr(4);
-  mgr.set_order({3, 1, 0, 2});
-  const TruthTable t = TruthTable::var(3, 0) ^ TruthTable::var(3, 2);
-  const Bdd f = table_bdd(mgr, t, {0, 2, 3});
-  std::vector<bool> a(4, false);
-  for (std::uint64_t r = 0; r < 8; ++r) {
-    a[0] = r & 1;
-    a[2] = (r >> 1) & 1;
-    a[3] = (r >> 2) & 1;
-    EXPECT_EQ(f.eval(a), t.eval(r)) << r;
-  }
-  EXPECT_TRUE(mgr.check_invariants());
 }
 
 TEST(SignalBdd, ConeWithSharing) {

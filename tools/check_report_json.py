@@ -2,11 +2,11 @@
 """Validate a unified run report (imodec_cli --report / SynthesisConfig::
 report_path, written by src/map/report.cpp).
 
-Schema (version 1), top level:
+Schema (version 2), top level:
 
   {
     "report": "imodec_run",        # required, literal
-    "schema_version": 1,           # required
+    "schema_version": 2,           # required
     "circuit": "<name>",           # required, non-empty string
     "config": { ... },             # required, config echo (typed spot checks)
     "result": { ... },             # required, run outcome
@@ -87,8 +87,7 @@ def check_kernel(name, k):
     if load > 1.0:
         raise Fail(f"{where}: unique_load_factor > 1 ({load})")
     need(k, "peak_arena_bytes", NUMBER, where, nonneg=True)
-    for key in ("gc_runs", "sift_runs", "sift_swaps"):
-        need(k, key, NUMBER, where, nonneg=True)
+    need(k, "gc_runs", NUMBER, where, nonneg=True)
     cache = need(k, "cache", dict, where)
     for op, r in cache.items():
         w = f"{where}.cache[{op}]"
@@ -136,7 +135,7 @@ def check_report(doc, require_hists):
     if doc.get("report") != "imodec_run":
         raise Fail(f"'report' is not \"imodec_run\" ({doc.get('report')!r})")
     sv = doc.get("schema_version")
-    if isinstance(sv, bool) or not isinstance(sv, NUMBER) or sv != 1:
+    if isinstance(sv, bool) or not isinstance(sv, NUMBER) or sv != 2:
         raise Fail(f"unsupported schema_version {sv!r}")
     circuit = need(doc, "circuit", str, "top level")
     if not circuit:
