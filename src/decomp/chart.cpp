@@ -23,15 +23,11 @@ std::string render_chart(const TruthTable& f, const VarPartition& vp) {
     os << vertex_bits(x, b) << ' ';
   os << '\n';
 
+  const TruthTable chart = vp.chart(f);
   for (std::uint64_t y = 0; y < (std::uint64_t{1} << nf); ++y) {
     os << vertex_bits(y, nf) << "  ";
     for (std::uint64_t x = 0; x < (std::uint64_t{1} << b); ++x) {
-      std::uint64_t input = 0;
-      for (unsigned i = 0; i < b; ++i)
-        if ((x >> i) & 1) input |= std::uint64_t{1} << vp.bound[i];
-      for (unsigned j = 0; j < nf; ++j)
-        if ((y >> j) & 1) input |= std::uint64_t{1} << vp.free_set[j];
-      os << std::string(b / 2, ' ') << (f.eval(input) ? '1' : '0')
+      os << std::string(b / 2, ' ') << (chart.get((x << nf) | y) ? '1' : '0')
          << std::string(b - b / 2, ' ');
     }
     os << '\n';

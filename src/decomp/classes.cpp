@@ -2,45 +2,42 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 #include <unordered_map>
 
 namespace imodec {
 
 VertexPartition local_partition_tt(const TruthTable& f,
                                    const VarPartition& vp) {
-  const unsigned b = vp.b();
   const unsigned nf = static_cast<unsigned>(vp.free_set.size());
-  assert(b + nf <= f.num_vars() ||
-         (b + nf == vp.bound.size() + vp.free_set.size()));
-
   VertexPartition part;
-  part.b = b;
-  part.class_of.resize(std::uint64_t{1} << b);
+  part.b = vp.b();
+  part.class_of.resize(part.num_vertices());
 
-  // Column of BS-vertex x: bits f(x, y) over all FS vertices y. The input
-  // index of (x, y) is base[x] | off[y]; both maps are precomputed so the
-  // inner loop is two lookups (this is the hottest loop of the flow).
-  const std::uint64_t rows = std::uint64_t{1} << nf;
-  std::vector<std::uint64_t> base(part.num_vertices(), 0);
-  for (std::uint64_t x = 0; x < part.num_vertices(); ++x)
-    for (unsigned i = 0; i < b; ++i)
-      if ((x >> i) & 1) base[x] |= std::uint64_t{1} << vp.bound[i];
-  std::vector<std::uint64_t> off(rows, 0);
-  for (std::uint64_t y = 0; y < rows; ++y)
-    for (unsigned j = 0; j < nf; ++j)
-      if ((y >> j) & 1) off[y] |= std::uint64_t{1} << vp.free_set[j];
-
-  std::unordered_map<BitVec, std::uint32_t, BitVecHash> column_ids;
-  std::uint32_t next_id = 0;
-  BitVec column(rows);
-  for (std::uint64_t x = 0; x < part.num_vertices(); ++x) {
-    for (std::uint64_t y = 0; y < rows; ++y)
-      column.set(y, f.eval(base[x] | off[y]));
-    auto [it, inserted] = column_ids.emplace(column, next_id);
-    if (inserted) ++next_id;
-    part.class_of[x] = it->second;
+  // Column x is a contiguous slice of the chart: whole words when it spans
+  // at least one, otherwise a bit field first extracted into a word of its
+  // own. Columns are keyed exactly on those words.
+  const TruthTable chart = vp.chart(f);
+  const std::uint64_t* words = chart.bits().data();
+  const std::size_t col_words = nf >= 6 ? std::size_t{1} << (nf - 6) : 1;
+  std::vector<std::uint64_t> narrow;
+  if (nf < 6) {
+    const std::uint64_t mask = (std::uint64_t{1} << (1u << nf)) - 1;
+    narrow.resize(part.num_vertices());
+    for (std::uint64_t x = 0; x < part.num_vertices(); ++x)
+      narrow[x] = (words[(x << nf) >> 6] >> ((x << nf) & 63)) & mask;
+    words = narrow.data();
   }
-  part.num_classes = next_id;
+
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  for (std::uint64_t x = 0; x < part.num_vertices(); ++x) {
+    const std::string_view column(
+        reinterpret_cast<const char*>(words + x * col_words),
+        col_words * sizeof(std::uint64_t));
+    const auto next_id = static_cast<std::uint32_t>(ids.size());
+    part.class_of[x] = ids.emplace(column, next_id).first->second;
+  }
+  part.num_classes = static_cast<std::uint32_t>(ids.size());
   return part;
 }
 

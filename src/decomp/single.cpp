@@ -25,29 +25,18 @@ TruthTable build_g(const TruthTable& f, const VarPartition& vp,
     code_of[x] = code;
   }
 
-  // Representative vertex per code; vertices with the same code must be
-  // compatible (Decomposition Condition 1) — asserted below via the chart.
+  // g(code, y) is row y of the chart column of the code's first vertex;
+  // vertices with the same code must be compatible (Decomposition Condition
+  // 1) — asserted below. Unused codes stay 0.
   const std::uint64_t num_codes = std::uint64_t{1} << c;
-  std::vector<std::uint64_t> representative(num_codes, ~std::uint64_t{0});
-  for (std::uint64_t x = 0; x < num_vertices; ++x) {
-    if (representative[code_of[x]] == ~std::uint64_t{0})
-      representative[code_of[x]] = x;
-  }
-
+  const TruthTable chart = vp.chart(f);
   TruthTable g(c + nf);
-  const std::uint64_t rows = std::uint64_t{1} << nf;
-  for (std::uint64_t code = 0; code < num_codes; ++code) {
-    if (representative[code] == ~std::uint64_t{0}) continue;  // unused -> 0
-    const std::uint64_t x = representative[code];
-    std::uint64_t base = 0;
-    for (unsigned i = 0; i < b; ++i)
-      if ((x >> i) & 1) base |= std::uint64_t{1} << vp.bound[i];
-    for (std::uint64_t y = 0; y < rows; ++y) {
-      std::uint64_t input = base;
-      for (unsigned j = 0; j < nf; ++j)
-        if ((y >> j) & 1) input |= std::uint64_t{1} << vp.free_set[j];
-      g.set(code | (y << c), f.eval(input));
-    }
+  std::vector<bool> filled(num_codes, false);
+  for (std::uint64_t x = 0; x < num_vertices; ++x) {
+    if (filled[code_of[x]]) continue;
+    filled[code_of[x]] = true;
+    for (std::uint64_t y = 0; y < (std::uint64_t{1} << nf); ++y)
+      g.set(code_of[x] | (y << c), chart.get((x << nf) | y));
   }
 
 #ifndef NDEBUG
@@ -98,25 +87,23 @@ TruthTable recompose(const Decomposition& decomp, std::size_t output_index,
                      unsigned original_num_vars) {
   const auto& plan = decomp.outputs[output_index];
   const VarPartition& vp = decomp.vp;
-  const unsigned b = vp.b();
   const unsigned c = static_cast<unsigned>(plan.d_index.size());
   const unsigned nf = static_cast<unsigned>(vp.free_set.size());
 
-  TruthTable f(original_num_vars);
-  for (std::uint64_t input = 0; input < f.num_rows(); ++input) {
-    std::uint64_t x = 0;
-    for (unsigned i = 0; i < b; ++i)
-      if ((input >> vp.bound[i]) & 1) x |= std::uint64_t{1} << i;
-    std::uint64_t y = 0;
-    for (unsigned j = 0; j < nf; ++j)
-      if ((input >> vp.free_set[j]) & 1) y |= std::uint64_t{1} << j;
-    std::uint64_t g_row = 0;
+  // Row y of f's chart column x is g(code of x, y); then back to the
+  // original variables.
+  TruthTable chart(nf + vp.b());
+  for (std::uint64_t x = 0; x < vp.num_bs_vertices(); ++x) {
+    std::uint64_t code = 0;
     for (unsigned j = 0; j < c; ++j)
-      if (decomp.d_funcs[plan.d_index[j]].eval(x)) g_row |= std::uint64_t{1} << j;
-    g_row |= y << c;
-    f.set(input, plan.g.eval(g_row));
+      if (decomp.d_funcs[plan.d_index[j]].eval(x)) code |= std::uint64_t{1} << j;
+    for (std::uint64_t y = 0; y < (std::uint64_t{1} << nf); ++y)
+      chart.set((x << nf) | y, plan.g.get(code | (y << c)));
   }
-  return f;
+  const std::vector<unsigned> order = vp.chart_order();
+  std::vector<unsigned> back(original_num_vars, TruthTable::kNoVar);
+  for (unsigned i = 0; i < order.size(); ++i) back[order[i]] = i;
+  return chart.permute(back);
 }
 
 }  // namespace imodec

@@ -8,6 +8,16 @@
 
 namespace imodec {
 
+std::vector<unsigned> VarPartition::chart_order() const {
+  std::vector<unsigned> order = free_set;
+  order.insert(order.end(), bound.begin(), bound.end());
+  return order;
+}
+
+TruthTable VarPartition::chart(const TruthTable& f) const {
+  return f.permute(chart_order());
+}
+
 bool VertexPartition::refines(const VertexPartition& coarser) const {
   assert(b == coarser.b);
   // Each of our classes must map into exactly one coarser class.

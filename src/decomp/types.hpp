@@ -16,6 +16,13 @@ struct VarPartition {
 
   unsigned b() const { return static_cast<unsigned>(bound.size()); }
   std::uint64_t num_bs_vertices() const { return std::uint64_t{1} << b(); }
+
+  /// Variable order of the decomposition chart (Def. 1, Fig. 2): the free
+  /// set low, the bound set high, each in its own order.
+  std::vector<unsigned> chart_order() const;
+  /// `f` in chart order, so the column of BS vertex x is the slice of rows
+  /// [x << |FS|, (x + 1) << |FS|).
+  TruthTable chart(const TruthTable& f) const;
 };
 
 /// A partition of the 2^b bound-set vertices into classes 0..num_classes-1.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,7 +31,7 @@ std::pair<std::uint64_t, std::uint64_t> score(const VarPartChoice& c) {
   return {c.global.num_classes, sum_l};
 }
 
-std::optional<VarPartChoice> evaluate_with_supports(
+std::optional<VarPartChoice> evaluate_candidate(
     const std::vector<TruthTable>& outputs, unsigned num_vars,
     const std::vector<unsigned>& bound, bool require_nontrivial,
     const std::vector<std::vector<unsigned>>& supports) {
@@ -56,53 +55,49 @@ std::optional<VarPartChoice> evaluate_with_supports(
   return choice;
 }
 
-/// Per-candidate evaluation-time histogram, or nullptr when observability is
-/// off. Call sites hoist this lookup out of their candidate loops so the hot
-/// path pays only two clock reads per multi-microsecond evaluation.
-obs::Histogram* candidate_hist() {
-  return obs::enabled()
-             ? &obs::Registry::instance().histogram("varpart.candidate_us")
-             : nullptr;
-}
+using Results = std::vector<std::optional<VarPartChoice>>;
 
-std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-/// Evaluate every candidate in `cands` (in parallel when a pool is given)
-/// and return the best by (score, candidate index) — the same winner a
-/// serial first-strictly-better scan keeps, so results are independent of
-/// the thread count.
-std::optional<VarPartChoice> evaluate_candidates(
-    const std::vector<TruthTable>& outputs, unsigned num_vars,
-    const std::vector<std::vector<unsigned>>& cands, bool require_nontrivial,
-    const std::vector<std::vector<unsigned>>& supports,
-    util::ThreadPool* pool, util::ResourceGuard* guard) {
-  std::vector<std::optional<VarPartChoice>> results(cands.size());
-  obs::Histogram* const hist = candidate_hist();
+/// Evaluate every candidate in `cands`, in parallel when a pool is given:
+/// one guard checkpoint and one `varpart.candidate_us` sample each.
+/// results[i] belongs to cands[i], so every reduction of the results is
+/// independent of the thread count.
+Results evaluate_candidates(const std::vector<TruthTable>& outputs,
+                            unsigned num_vars,
+                            const std::vector<std::vector<unsigned>>& cands,
+                            const std::vector<std::vector<unsigned>>& supports,
+                            const VarPartOptions& opts) {
+  Results results(cands.size());
+  // Hoisted so the hot path pays only two clock reads per
+  // multi-microsecond evaluation; nullptr when observability is off.
+  obs::Histogram* const hist =
+      obs::enabled()
+          ? &obs::Registry::instance().histogram("varpart.candidate_us")
+          : nullptr;
   const auto eval_one = [&](std::size_t i) {
-    // One checkpoint per candidate: a deadline/cancellation trip in any
-    // worker unwinds through parallel_for (the first exception stops the
-    // remaining chunks and is rethrown on the caller).
-    if (guard) guard->checkpoint();
-    const auto t0 = hist ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-    results[i] = evaluate_with_supports(outputs, num_vars, cands[i],
-                                        require_nontrivial, supports);
-    if (hist) hist->record(us_since(t0));
+    // A deadline/cancellation trip in any worker unwinds through
+    // parallel_for (the first exception stops the remaining chunks and is
+    // rethrown on the caller).
+    if (opts.guard) opts.guard->checkpoint();
+    obs::time_us(hist, [&] {
+      results[i] = evaluate_candidate(outputs, num_vars, cands[i],
+                                      opts.require_nontrivial, supports);
+    });
   };
-  if (pool && cands.size() > 1) {
+  if (opts.pool && cands.size() > 1) {
     const int parent = obs::enabled() ? obs::Trace::global().current() : -1;
-    pool->parallel_for(cands.size(), [&](std::size_t i) {
+    opts.pool->parallel_for(cands.size(), [&](std::size_t i) {
       obs::AdoptParentScope adopt(parent);
       eval_one(i);
     });
   } else {
     for (std::size_t i = 0; i < cands.size(); ++i) eval_one(i);
   }
+  return results;
+}
+
+/// The best result by (score, candidate index) — the winner a serial
+/// first-strictly-better scan keeps.
+std::optional<VarPartChoice> best_of(Results results) {
   std::optional<VarPartChoice> best;
   for (auto& cand : results) {
     if (!cand) continue;
@@ -112,16 +107,6 @@ std::optional<VarPartChoice> evaluate_candidates(
 }
 
 }  // namespace
-
-std::optional<VarPartChoice> evaluate_bound_set(
-    const std::vector<TruthTable>& outputs, unsigned num_vars,
-    const std::vector<unsigned>& bound, bool require_nontrivial) {
-  std::vector<std::vector<unsigned>> supports;
-  supports.reserve(outputs.size());
-  for (const TruthTable& f : outputs) supports.push_back(f.support());
-  return evaluate_with_supports(outputs, num_vars, bound, require_nontrivial,
-                                supports);
-}
 
 std::optional<VarPartChoice> choose_bound_set(
     const std::vector<TruthTable>& outputs, unsigned num_vars,
@@ -173,9 +158,8 @@ std::optional<VarPartChoice> choose_bound_set(
       for (unsigned j = static_cast<unsigned>(i) + 1; j < b; ++j)
         idx[j] = idx[j - 1] + 1;
     }
-    return evaluate_candidates(outputs, num_vars, cands,
-                               opts.require_nontrivial, supports, opts.pool,
-                               opts.guard);
+    return best_of(
+        evaluate_candidates(outputs, num_vars, cands, supports, opts));
   }
 
   // Sampling + hill climbing.
@@ -195,9 +179,8 @@ std::optional<VarPartChoice> choose_bound_set(
     }
     cands.emplace_back(pool_vars.begin(), pool_vars.begin() + b);
   }
-  std::optional<VarPartChoice> best = evaluate_candidates(
-      outputs, num_vars, cands, opts.require_nontrivial, supports, opts.pool,
-      opts.guard);
+  std::optional<VarPartChoice> best =
+      best_of(evaluate_candidates(outputs, num_vars, cands, supports, opts));
   if (!best) return std::nullopt;
 
   // Hill climbing: try swapping one bound variable against one free one.
@@ -222,27 +205,9 @@ std::optional<VarPartChoice> choose_bound_set(
         neighbors.push_back(std::move(bound));
       }
     }
-    std::vector<std::optional<VarPartChoice>> results(neighbors.size());
-    obs::Histogram* const hist = candidate_hist();
-    const auto eval_one = [&](std::size_t i) {
-      if (opts.guard) opts.guard->checkpoint();
-      const auto t0 = hist ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-      results[i] = evaluate_with_supports(outputs, num_vars, neighbors[i],
-                                          opts.require_nontrivial, supports);
-      if (hist) hist->record(us_since(t0));
-    };
-    if (opts.pool && neighbors.size() > 1) {
-      const int parent = obs::enabled() ? obs::Trace::global().current() : -1;
-      opts.pool->parallel_for(neighbors.size(), [&](std::size_t i) {
-        obs::AdoptParentScope adopt(parent);
-        eval_one(i);
-      });
-    } else {
-      for (std::size_t i = 0; i < neighbors.size(); ++i) eval_one(i);
-    }
     bool improved = false;
-    for (auto& cand : results) {
+    for (auto& cand :
+         evaluate_candidates(outputs, num_vars, neighbors, supports, opts)) {
       if (cand && score(*cand) < current) {
         best = std::move(cand);
         improved = true;

@@ -63,9 +63,4 @@ std::optional<VarPartChoice> choose_bound_set(
     const std::vector<TruthTable>& outputs, unsigned num_vars,
     const VarPartOptions& opts = {});
 
-/// Score helper exposed for tests: evaluates one candidate bound set.
-std::optional<VarPartChoice> evaluate_bound_set(
-    const std::vector<TruthTable>& outputs, unsigned num_vars,
-    const std::vector<unsigned>& bound, bool require_nontrivial);
-
 }  // namespace imodec

@@ -245,6 +245,17 @@ std::size_t Network::sweep() {
   return changed;
 }
 
+std::size_t drop_vacuous_fanins(TruthTable& func, std::vector<SigId>& fanins) {
+  assert(func.num_vars() == fanins.size());
+  const std::vector<unsigned> sup = func.support();
+  const std::size_t dropped = fanins.size() - sup.size();
+  if (dropped == 0) return 0;
+  for (std::size_t i = 0; i < sup.size(); ++i) fanins[i] = fanins[sup[i]];
+  fanins.resize(sup.size());
+  func = func.permute(sup);
+  return dropped;
+}
+
 bool structurally_equal(const Network& a, const Network& b) {
   if (a.node_count() != b.node_count() || a.inputs() != b.inputs() ||
       a.outputs() != b.outputs() || a.output_names() != b.output_names())

@@ -101,6 +101,10 @@ class Network {
   std::unordered_map<std::string, SigId> by_name_;
 };
 
+/// Narrow `func` to its support and drop the matching entries of `fanins`
+/// (fanins[i] feeds variable i). Returns how many fanins were dropped.
+std::size_t drop_vacuous_fanins(TruthTable& func, std::vector<SigId>& fanins);
+
 /// Bit-identical structural comparison: same nodes (kind, name, fanins,
 /// function), inputs, outputs, and output names, in the same order. The
 /// network name is ignored. This is the determinism contract the parallel

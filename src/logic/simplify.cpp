@@ -63,35 +63,16 @@ SimplifyStats simplify(Network& net) {
         }
       }
 
-      // Merge duplicate fanins (redirects can alias two table variables to
-      // the same signal; e.g. x & x must become x).
-      {
-        std::vector<SigId> uniq;
-        std::vector<unsigned> pos_of(node.fanins.size());
-        bool dup = false;
-        for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-          const auto it =
-              std::find(uniq.begin(), uniq.end(), node.fanins[i]);
-          if (it != uniq.end()) {
-            pos_of[i] = static_cast<unsigned>(it - uniq.begin());
-            dup = true;
-          } else {
-            pos_of[i] = static_cast<unsigned>(uniq.size());
-            uniq.push_back(node.fanins[i]);
-          }
-        }
-        if (dup) {
-          TruthTable merged(static_cast<unsigned>(uniq.size()));
-          for (std::uint64_t row = 0; row < merged.num_rows(); ++row) {
-            std::uint64_t old_row = 0;
-            for (std::size_t i = 0; i < pos_of.size(); ++i)
-              if ((row >> pos_of[i]) & 1) old_row |= std::uint64_t{1} << i;
-            merged.set(row, node.func.eval(old_row));
-          }
-          node.func = std::move(merged);
-          node.fanins = std::move(uniq);
-          changed = true;
-        }
+      // Tie each repeated fanin to its first occurrence (redirects can alias
+      // two table variables to the same signal; e.g. x & x must become x).
+      // The repeat is then vacuous and is dropped below.
+      for (unsigned j = 1; j < node.fanins.size(); ++j) {
+        const auto first = std::find(node.fanins.begin(),
+                                     node.fanins.begin() + j, node.fanins[j]);
+        if (first == node.fanins.begin() + j) continue;
+        node.func = node.func.tie(
+            static_cast<unsigned>(first - node.fanins.begin()), j);
+        changed = true;
       }
 
       // Fold constant fanins into the function.
@@ -105,14 +86,9 @@ SimplifyStats simplify(Network& net) {
       }
 
       // Drop vacuous fanins (constant-folded ones become vacuous too).
-      const std::vector<unsigned> sup = node.func.support();
-      if (sup.size() != node.fanins.size()) {
-        std::vector<SigId> used;
-        used.reserve(sup.size());
-        for (unsigned v : sup) used.push_back(node.fanins[v]);
-        stats.fanins_dropped += node.fanins.size() - sup.size();
-        node.func = node.func.permute(sup);
-        node.fanins = std::move(used);
+      if (const std::size_t dropped =
+              drop_vacuous_fanins(node.func, node.fanins)) {
+        stats.fanins_dropped += dropped;
         changed = true;
       }
 

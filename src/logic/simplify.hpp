@@ -11,7 +11,8 @@ namespace imodec {
 
 struct SimplifyStats {
   std::size_t constants_folded = 0;   // fanins replaced by constants
-  std::size_t fanins_dropped = 0;     // vacuous (non-support) fanins removed
+  std::size_t fanins_dropped = 0;     // vacuous (non-support) and repeated
+                                      // fanins removed
   std::size_t nodes_deduped = 0;      // structurally identical nodes merged
   std::size_t identities_bypassed = 0;  // single-input identity nodes
 

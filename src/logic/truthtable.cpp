@@ -1,5 +1,7 @@
 #include "logic/truthtable.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace imodec {
@@ -65,6 +67,12 @@ TruthTable TruthTable::cofactor(unsigned v, bool value) const {
   return t;
 }
 
+TruthTable TruthTable::tie(unsigned keep, unsigned drop) const {
+  const TruthTable x = var(num_vars_, keep);
+  return (x & cofactor(keep, true).cofactor(drop, true)) |
+         (~x & cofactor(keep, false).cofactor(drop, false));
+}
+
 bool TruthTable::is_dont_care(unsigned v) const {
   const std::uint64_t bit = std::uint64_t{1} << v;
   for (std::uint64_t row = 0; row < num_rows(); ++row) {
@@ -82,20 +90,34 @@ std::vector<unsigned> TruthTable::support() const {
 }
 
 TruthTable TruthTable::permute(const std::vector<unsigned>& perm) const {
-  TruthTable t(static_cast<unsigned>(perm.size()));
-  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
-    std::uint64_t src = 0;
-    for (std::size_t i = 0; i < perm.size(); ++i)
-      if ((row >> i) & 1) src |= std::uint64_t{1} << perm[i];
-    t.bits_.set(row, bits_.get(src));
-  }
+  // Old row of new row r = lo[low bits of r] | hi[high bits of r]. Each table
+  // is built in O(2^k): entry v extends the entry without v's lowest set bit
+  // by that bit's old variable.
+  constexpr unsigned kLoBits = (kMaxVars + 1) / 2;
+  const unsigned n = static_cast<unsigned>(perm.size());
+  const unsigned lo_bits = std::min(n, kLoBits);
+  std::uint64_t lo[std::uint64_t{1} << kLoBits];
+  std::uint64_t hi[std::uint64_t{1} << (kMaxVars - kLoBits)];
+  const auto fill = [&](std::uint64_t* map, unsigned first, unsigned bits) {
+    map[0] = 0;
+    for (std::uint64_t v = 1; v < (std::uint64_t{1} << bits); ++v) {
+      const unsigned old = perm[first + std::countr_zero(v)];
+      assert(old == kNoVar || old < num_vars_);
+      map[v] = map[v & (v - 1)] | (old == kNoVar ? 0 : std::uint64_t{1} << old);
+    }
+  };
+  fill(lo, 0, lo_bits);
+  fill(hi, lo_bits, n - lo_bits);
+
+  TruthTable t(n);
+  const std::uint64_t lo_mask = (std::uint64_t{1} << lo_bits) - 1;
+  for (std::uint64_t row = 0; row < t.num_rows(); ++row)
+    t.set(row, get(lo[row & lo_mask] | hi[row >> lo_bits]));
 #ifndef NDEBUG
   // Every support variable of *this must be covered by perm.
-  for (unsigned v : support()) {
-    bool found = false;
-    for (unsigned p : perm) found |= (p == v);
-    assert(found && "permute dropped a support variable");
-  }
+  for (unsigned v : support())
+    assert(std::find(perm.begin(), perm.end(), v) != perm.end() &&
+           "permute dropped a support variable");
 #endif
   return t;
 }

@@ -63,14 +63,22 @@ class TruthTable {
   /// Shannon cofactor with variable v fixed (result keeps num_vars variables;
   /// v becomes a don't-care input).
   TruthTable cofactor(unsigned v, bool value) const;
+  /// f with variable `drop` reading variable `keep` (the result keeps
+  /// num_vars variables; `drop` becomes a don't-care input).
+  TruthTable tie(unsigned keep, unsigned drop) const;
   /// True iff f does not depend on variable v.
   bool is_dont_care(unsigned v) const;
   /// Variables the function actually depends on.
   std::vector<unsigned> support() const;
 
+  /// `perm` entry for a new variable that no old variable maps to.
+  static constexpr unsigned kNoVar = ~0u;
+
   /// Re-express over a new variable set: new variable `i` is old variable
-  /// `perm[i]`. perm.size() becomes the new num_vars; every old support
-  /// variable must appear in perm.
+  /// `perm[i]`, or a variable the function ignores if perm[i] == kNoVar.
+  /// perm.size() becomes the new num_vars; every old support variable must
+  /// appear in perm. This is the one routine that places variables at row
+  /// index bits; every other layout change goes through it.
   TruthTable permute(const std::vector<unsigned>& perm) const;
 
   std::size_t hash() const { return bits_.hash(); }

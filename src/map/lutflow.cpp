@@ -18,39 +18,21 @@ namespace {
 
 /// Extend a node-local truth table over `fanins` to the common input list
 /// `inputs` of a function vector (every fanin must appear in `inputs`).
-TruthTable extend_table(const TruthTable& tt, const std::vector<SigId>& fanins,
+TruthTable extend_table(TruthTable tt, const std::vector<SigId>& fanins,
                         const std::vector<SigId>& inputs) {
-  std::vector<unsigned> pos_of_fanin(fanins.size(), 0);
-  for (std::size_t i = 0; i < fanins.size(); ++i) {
-    auto it = std::find(inputs.begin(), inputs.end(), fanins[i]);
-    assert(it != inputs.end());
-    pos_of_fanin[i] = static_cast<unsigned>(it - inputs.begin());
+  std::vector<unsigned> perm(inputs.size(), TruthTable::kNoVar);
+  for (unsigned i = 0; i < fanins.size(); ++i) {
+    const auto p = std::find(inputs.begin(), inputs.end(), fanins[i]) -
+                   inputs.begin();
+    assert(p < static_cast<std::ptrdiff_t>(inputs.size()));
+    // A repeated fanin (a d-node that is also a free input of its g) reads
+    // the same input as its first occurrence.
+    if (perm[p] == TruthTable::kNoVar)
+      perm[p] = i;
+    else
+      tt = tt.tie(perm[p], i);
   }
-  // Chunked index assembly: split the union row into a low and a high half
-  // and precompute each half's contribution to the node-local row index, so
-  // the per-row work is two lookups (hot path for wide unions).
-  const unsigned n = static_cast<unsigned>(inputs.size());
-  const unsigned lo_bits = std::min(n, 11u);
-  const unsigned hi_bits = n - lo_bits;
-  std::vector<std::uint32_t> lo_map(std::uint64_t{1} << lo_bits, 0);
-  std::vector<std::uint32_t> hi_map(std::uint64_t{1} << hi_bits, 0);
-  for (std::size_t i = 0; i < fanins.size(); ++i) {
-    const unsigned p = pos_of_fanin[i];
-    if (p < lo_bits) {
-      for (std::uint64_t v = 0; v < lo_map.size(); ++v)
-        if ((v >> p) & 1) lo_map[v] |= 1u << i;
-    } else {
-      for (std::uint64_t v = 0; v < hi_map.size(); ++v)
-        if ((v >> (p - lo_bits)) & 1) hi_map[v] |= 1u << i;
-    }
-  }
-  TruthTable out(n);
-  const std::uint64_t lo_mask = (std::uint64_t{1} << lo_bits) - 1;
-  for (std::uint64_t row = 0; row < out.num_rows(); ++row) {
-    const std::uint32_t local = lo_map[row & lo_mask] | hi_map[row >> lo_bits];
-    out.set(row, tt.eval(local));
-  }
-  return out;
+  return tt.permute(perm);
 }
 
 /// Structural hashing of logic nodes (same fanin list + same table).
@@ -678,14 +660,10 @@ class Flow {
       // Normalize: drop don't-care fanins of g (e.g. free variables the
       // output never depended on).
       TruthTable g = plan.g;
-      std::vector<unsigned> sup = g.support();
-      std::vector<SigId> used;
-      used.reserve(sup.size());
-      for (unsigned v : sup) used.push_back(fanins[v]);
-      g = g.permute(sup);
+      drop_vacuous_fanins(g, fanins);
 
       Network::Node& node = net_.node(group[kk]);
-      node.fanins = std::move(used);
+      node.fanins = std::move(fanins);
       node.func = std::move(g);
       enqueue_if_wide(group[kk]);
     }
@@ -693,27 +671,23 @@ class Flow {
 
   /// Create (or reuse) a logic node computing `tt` over `fanins`, with
   /// support normalization and structural hashing.
-  SigId materialize(const std::vector<SigId>& fanins, TruthTable tt) {
-    const std::vector<unsigned> sup = tt.support();
-    std::vector<SigId> used;
-    used.reserve(sup.size());
-    for (unsigned v : sup) used.push_back(fanins[v]);
-    tt = tt.permute(sup);
-    if (used.empty()) return net_.add_constant(tt.eval(0));
-    if (used.size() == 1 && tt == TruthTable::var(1, 0))
-      return used.front();  // identity
+  SigId materialize(std::vector<SigId> fanins, TruthTable tt) {
+    drop_vacuous_fanins(tt, fanins);
+    if (fanins.empty()) return net_.add_constant(tt.eval(0));
+    if (fanins.size() == 1 && tt == TruthTable::var(1, 0))
+      return fanins.front();  // identity
     // Structural hashing merges identical d-nodes across vectors — that is
     // common-subfunction extraction, which the single-output baseline by
     // definition does not perform (paper §1), so it only runs in
     // multiple-output mode.
     if (!opts_.multi_output) {
-      const SigId s = net_.add_node(used, std::move(tt));
+      const SigId s = net_.add_node(fanins, std::move(tt));
       enqueue_if_wide(s);
       return s;
     }
-    NodeKey key{used, tt};
+    NodeKey key{fanins, tt};
     if (auto it = hash_.find(key); it != hash_.end()) return it->second;
-    const SigId s = net_.add_node(used, std::move(tt));
+    const SigId s = net_.add_node(fanins, std::move(tt));
     hash_.emplace(std::move(key), s);
     enqueue_if_wide(s);
     return s;
@@ -860,11 +834,8 @@ std::optional<Network> collapse_network(const Network& src,
       node = out.add_constant(tt->eval(0));
     } else {
       // Normalize away non-support cone inputs.
-      const std::vector<unsigned> sup = tt->support();
-      std::vector<SigId> used;
-      used.reserve(sup.size());
-      for (unsigned v : sup) used.push_back(fanins[v]);
-      node = out.add_node(used, tt->permute(sup), name);
+      drop_vacuous_fanins(*tt, fanins);
+      node = out.add_node(fanins, std::move(*tt), name);
     }
     out.add_output(node, name);
   }

@@ -11,6 +11,7 @@
 // is created or touched, which is what the zero-overhead tests assert.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -123,6 +124,19 @@ inline void gauge_set(std::string_view name, std::int64_t v) {
 /// (the lookup takes the registry mutex).
 inline void observe(std::string_view name, std::uint64_t v) {
   if (enabled()) Registry::instance().histogram(name).record(v);
+}
+
+/// Run `fn`, recording its wall time in µs into `hist` unless `hist` is null
+/// (the hoisted handle of a hot path, null when observability is off).
+template <class Fn>
+void time_us(Histogram* hist, Fn&& fn) {
+  if (!hist) return fn();
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  hist->record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
 }
 
 }  // namespace imodec::obs

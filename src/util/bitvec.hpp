@@ -68,6 +68,8 @@ class BitVec {
 
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
+  /// The word_count() words, bit i at word i / 64, bit i % 64.
+  const std::uint64_t* data() const { return words_.data(); }
   void set_word(std::size_t w, std::uint64_t v) {
     words_[w] = v;
     normalize_tail();

@@ -5,10 +5,14 @@
 // Variable numbering: x1,x2,x3,y1,y2 = table variables 0..4. A bound-set
 // vertex written "x1x2x3" in the paper maps to index x1*1 + x2*2 + x3*4.
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "decomp/types.hpp"
 #include "logic/truthtable.hpp"
+#include "util/rng.hpp"
 
 namespace imodec::testfix {
 
@@ -50,6 +54,29 @@ inline VarPartition paper_vp() {
   vp.bound = {0, 1, 2};
   vp.free_set = {3, 4};
   return vp;
+}
+
+/// A random function and a split of its variables into a free set of size
+/// nf (0..12) and a scattered bound set of 1..5 variables, each in random
+/// order, with n <= 14 variables in all. Used to reach chart columns below,
+/// at and above one 64-bit word.
+struct RandomShape {
+  TruthTable f;
+  VarPartition vp;
+};
+inline RandomShape random_shape(Rng& rng, unsigned nf) {
+  const unsigned n =
+      nf + 1 + static_cast<unsigned>(rng.below(std::min(5u, 14 - nf)));
+  RandomShape s{TruthTable(n), {}};
+  for (std::uint64_t row = 0; row < s.f.num_rows(); ++row)
+    s.f.set(row, rng.coin());
+  std::vector<unsigned> vars(n);
+  for (unsigned v = 0; v < n; ++v) vars[v] = v;
+  for (unsigned i = 0; i + 1 < n; ++i)
+    std::swap(vars[i], vars[i + rng.below(n - i)]);
+  s.vp.free_set.assign(vars.begin(), vars.begin() + nf);
+  s.vp.bound.assign(vars.begin() + nf, vars.end());
+  return s;
 }
 
 /// Map a paper vertex string "x1x2x3" to our vertex index.

@@ -157,15 +157,27 @@ TEST(Partitions, ProductNumbersExactTuplesInFirstOccurrenceOrder) {
 
 TEST(LocalClasses, BddPathMatchesTruthTablePath) {
   Rng rng(0xC1A55);
-  for (int trial = 0; trial < 20; ++trial) {
-    const unsigned n = 5 + trial % 3;
-    TruthTable f(n);
-    for (std::uint64_t row = 0; row < f.num_rows(); ++row)
-      f.set(row, rng.coin());
+  // Trials 0..19: prefix bound sets {0..b-1} with |FS| = 3. Trials 20..45:
+  // scattered bound sets with |FS| = 0..12 (twice each) and n up to 14, so
+  // chart columns below, at and above one 64-bit word (|FS| = 5, 6, 7)
+  // all occur.
+  for (int trial = 0; trial < 46; ++trial) {
+    TruthTable f;
     VarPartition vp;
-    const unsigned b = 2 + trial % 3;
-    for (unsigned v = 0; v < n; ++v)
-      (v < b ? vp.bound : vp.free_set).push_back(v);
+    if (trial < 20) {
+      const unsigned n = 5 + trial % 3;
+      f = TruthTable(n);
+      for (std::uint64_t row = 0; row < f.num_rows(); ++row)
+        f.set(row, rng.coin());
+      const unsigned b = 2 + trial % 3;
+      for (unsigned v = 0; v < n; ++v)
+        (v < b ? vp.bound : vp.free_set).push_back(v);
+    } else {
+      auto shape = testfix::random_shape(rng, (trial - 20) % 13);
+      f = std::move(shape.f);
+      vp = std::move(shape.vp);
+    }
+    const unsigned n = f.num_vars();
 
     const VertexPartition tt_part = local_partition_tt(f, vp);
 

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuits/generators.hpp"
 #include "circuits/registry.hpp"
 #include "logic/simulate.hpp"
 #include "map/lutflow.hpp"
 #include "map/restructure.hpp"
+#include "util/rng.hpp"
 
 namespace imodec {
 namespace {
@@ -74,6 +77,27 @@ TEST(LutFlow, NarrowNodesPassThrough) {
   const FlowResult r = decompose_to_luts(net, {});
   EXPECT_EQ(r.stats.luts, 1u);
   EXPECT_EQ(r.stats.vectors, 0u);
+  EXPECT_TRUE(check_equivalence(net, r.network).equivalent);
+}
+
+TEST(LutFlow, WideNodeWithRepeatedFaninStaysEquivalent) {
+  // A node may read one signal twice (in the flow: a d-node that is also a
+  // free input of its g). Its table must be read on the diagonal when it is
+  // extended over the group's inputs.
+  Network net("repeat");
+  std::vector<SigId> in;
+  for (int i = 0; i < 6; ++i)
+    in.push_back(net.add_input("x" + std::to_string(i)));
+  Rng rng(0x4E9);
+  TruthTable t(8);
+  for (std::uint64_t row = 0; row < t.num_rows(); ++row)
+    t.set(row, rng.coin());
+  const SigId y = net.add_node({in[0], in[1], in[2], in[3], in[4], in[5],
+                                in[1], in[4]},
+                               t);
+  net.add_output(y, "y");
+  const FlowResult r = decompose_to_luts(net, {});
+  expect_k_feasible(r.network, 5);
   EXPECT_TRUE(check_equivalence(net, r.network).equivalent);
 }
 

@@ -56,6 +56,29 @@ TEST(Simplify, DropsVacuousFanins) {
   EXPECT_EQ(net.outputs()[0], a);  // collapses to the identity, then bypassed
 }
 
+TEST(Simplify, MergesRepeatedFanins) {
+  Network net("t");
+  const SigId a = net.add_input("a");
+  const SigId b = net.add_input("b");
+  // y = (x0 & ~x2) | x1 over fanins {a, b, a}: on the diagonal, y = b.
+  const TruthTable t = (TruthTable::var(3, 0) & ~TruthTable::var(3, 2)) |
+                       TruthTable::var(3, 1);
+  const SigId c = net.add_node({a, b, a}, t);
+  // z = x0 ^ x2 over {a, b, b} = a ^ b keeps each signal once.
+  const SigId z = net.add_node({a, b, b}, TruthTable::var(3, 0) ^
+                                              TruthTable::var(3, 2));
+  net.add_output(c, "y");
+  net.add_output(z, "z");
+  const Network before = net;
+  simplify(net);
+  EXPECT_EQ(net.outputs()[0], b);
+  EXPECT_EQ(net.node(net.outputs()[1]).fanins, (std::vector<SigId>{a, b}));
+  for (unsigned row = 0; row < 4; ++row) {
+    const std::vector<bool> in{(row & 1) != 0, (row & 2) != 0};
+    EXPECT_EQ(net.eval(in), before.eval(in)) << "row " << row;
+  }
+}
+
 TEST(Simplify, DeduplicatesStructuralTwins) {
   Network net("t");
   const SigId a = net.add_input("a");

@@ -86,14 +86,23 @@ class SingleDecompRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(SingleDecompRandom, RecomposesRandomFunctions) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 17);
-  const unsigned n = 5 + GetParam() % 3;  // 5..7 variables
-  const unsigned b = 3 + GetParam() % 2;  // bound 3..4
-  TruthTable f(n);
-  for (std::uint64_t row = 0; row < f.num_rows(); ++row)
-    f.set(row, rng.coin());
+  TruthTable f;
   VarPartition vp;
-  for (unsigned v = 0; v < n; ++v)
-    (v < b ? vp.bound : vp.free_set).push_back(v);
+  if (GetParam() < 12) {
+    const unsigned n = 5 + GetParam() % 3;  // 5..7 variables
+    const unsigned b = 3 + GetParam() % 2;  // bound 3..4
+    f = TruthTable(n);
+    for (std::uint64_t row = 0; row < f.num_rows(); ++row)
+      f.set(row, rng.coin());
+    for (unsigned v = 0; v < n; ++v)
+      (v < b ? vp.bound : vp.free_set).push_back(v);
+  } else {
+    // Scattered bound sets, |FS| = 0..12 (twice each), n up to 14.
+    auto shape = testfix::random_shape(rng, (GetParam() - 12) % 13);
+    f = std::move(shape.f);
+    vp = std::move(shape.vp);
+  }
+  const unsigned n = f.num_vars();
   const Decomposition dec = decompose_single_output(f, vp);
   EXPECT_EQ(recompose(dec, 0, n), f);
   // Codewidth is exactly ⌈ld ℓ⌉.
@@ -101,7 +110,7 @@ TEST_P(SingleDecompRandom, RecomposesRandomFunctions) {
   EXPECT_EQ(dec.q(), codewidth(part.num_classes));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SingleDecompRandom, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, SingleDecompRandom, ::testing::Range(0, 38));
 
 TEST(Chart, RendersPaperChart) {
   const std::string chart = render_chart(paper_f1(), paper_vp());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "logic/truthtable.hpp"
 #include "util/rng.hpp"
 
@@ -85,6 +87,55 @@ TEST(TruthTable, PermuteRoundTrip) {
   const TruthTable g = f.permute({4, 3, 2, 1, 0});
   const TruthTable back = g.permute({4, 3, 2, 1, 0});
   EXPECT_EQ(back, f);
+}
+
+/// permute, one bit at a time: new row r reads the old row that sets old
+/// variable perm[i] for every set bit i of r.
+TruthTable permute_per_bit(const TruthTable& f,
+                           const std::vector<unsigned>& perm) {
+  TruthTable t(static_cast<unsigned>(perm.size()));
+  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
+    std::uint64_t old_row = 0;
+    for (std::size_t i = 0; i < perm.size(); ++i)
+      if ((row >> i) & 1 && perm[i] != TruthTable::kNoVar)
+        old_row |= std::uint64_t{1} << perm[i];
+    t.set(row, f.get(old_row));
+  }
+  return t;
+}
+
+TEST(TruthTable, PermuteMatchesPerBitReference) {
+  // Random tables of 1..14 variables placed at random positions among up to
+  // 16 new variables (the rest kNoVar), so both sides of the 11-bit split of
+  // the row index are exercised.
+  Rng rng(0x9E2);
+  for (unsigned trial = 0; trial < 28; ++trial) {
+    const unsigned n = 1 + trial % 14;
+    const unsigned new_n = n + trial % 3;
+    TruthTable f(n);
+    for (std::uint64_t row = 0; row < f.num_rows(); ++row)
+      f.set(row, rng.coin());
+    std::vector<unsigned> slots(new_n);
+    for (unsigned i = 0; i < new_n; ++i) slots[i] = i;
+    for (unsigned i = 0; i + 1 < new_n; ++i)
+      std::swap(slots[i], slots[i + rng.below(new_n - i)]);
+    std::vector<unsigned> perm(new_n, TruthTable::kNoVar);
+    for (unsigned v = 0; v < n; ++v) perm[slots[v]] = v;
+    EXPECT_EQ(f.permute(perm), permute_per_bit(f, perm)) << "trial " << trial;
+  }
+}
+
+TEST(TruthTable, TieReadsTheDiagonal) {
+  Rng rng(0x71E);
+  TruthTable f(5);
+  for (std::uint64_t row = 0; row < f.num_rows(); ++row)
+    f.set(row, rng.coin());
+  const TruthTable t = f.tie(1, 3);
+  EXPECT_TRUE(t.is_dont_care(3));
+  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
+    const std::uint64_t diag = (row & ~std::uint64_t{8}) | ((row & 2) << 2);
+    EXPECT_EQ(t.get(row), f.get(diag)) << "row " << row;
+  }
 }
 
 TEST(TruthTable, HashConsistency) {
