@@ -151,11 +151,12 @@ void ablation_classical() {
   for (const auto& name : kCircuits) {
     const auto net = circuits::make_benchmark(name);
     Network mapped;
+    const RunResources res{g_pool};
     SynthesisConfig a;
-    const DriverReport ra = run_synthesis(*net, a, mapped, g_pool);
+    const DriverReport ra = run_synthesis(*net, a, mapped, res);
     SynthesisConfig b;
     b.classical = true;
-    const DriverReport rb = run_synthesis(*net, b, mapped, g_pool);
+    const DriverReport rb = run_synthesis(*net, b, mapped, res);
     std::printf("%-8s %10u %12u%s\n", name.c_str(), ra.clbs.clbs,
                 rb.clbs.clbs,
                 (ra.verified && rb.verified) ? "" : "  VERIFY-FAIL");

@@ -72,32 +72,36 @@ void print_vector_row(const std::string& name, const std::string& circuit,
   }
 }
 
-/// Run the flow on `name` (collapsed when possible, else restructured),
-/// capture vectors, and report the one with the largest m (ties: largest p).
-void characterize_circuit(const std::string& name, unsigned want_m) {
+/// Run the flow on `name` (collapsed when possible, else restructured) with
+/// at most `want_m` outputs per vector, recording the vectors; nullopt for
+/// an unknown circuit.
+std::optional<FlowResult> recorded_flow(const std::string& name,
+                                        unsigned want_m) {
   const auto net = circuits::make_benchmark(name);
-  if (!net) {
-    std::printf("%s: unknown circuit\n", name.c_str());
-    return;
-  }
-  Network start = net->name().empty() ? *net : *net;
-  if (auto collapsed = collapse_network(*net)) {
-    start = std::move(*collapsed);
-  } else {
-    start = restructure(*net);
-  }
+  if (!net) return std::nullopt;
+  const auto collapsed = collapse_network(*net);
   FlowOptions opts;
   opts.record_vectors = true;
   opts.max_vector_outputs = want_m;
   opts.pool = g_pool;
-  const FlowResult result = decompose_to_luts(start, opts);
-  if (result.recorded.empty()) {
+  return decompose_to_luts(collapsed ? *collapsed : restructure(*net), opts);
+}
+
+/// Report the recorded vector of `name` with the largest m (ties: largest
+/// p).
+void characterize_circuit(const std::string& name, unsigned want_m) {
+  const auto result = recorded_flow(name, want_m);
+  if (!result) {
+    std::printf("%s: unknown circuit\n", name.c_str());
+    return;
+  }
+  if (result->recorded.empty()) {
     std::printf("%s: no vectors decomposed (already k-feasible)\n\n",
                 name.c_str());
     return;
   }
-  const RecordedVector* best = &result.recorded.front();
-  for (const auto& rec : result.recorded) {
+  const RecordedVector* best = &result->recorded.front();
+  for (const auto& rec : result->recorded) {
     if (rec.outputs.size() > best->outputs.size() ||
         (rec.outputs.size() == best->outputs.size() &&
          rec.stats.p > best->stats.p))
@@ -112,21 +116,10 @@ void characterize_circuit(const std::string& name, unsigned want_m) {
 /// paper's b to reproduce the astronomic #assignable/#preferable columns.
 void characterize_paper_b(const std::string& name, unsigned want_m,
                           unsigned paper_b) {
-  const auto net = circuits::make_benchmark(name);
-  if (!net) return;
-  Network start(name);
-  if (auto collapsed = collapse_network(*net))
-    start = std::move(*collapsed);
-  else
-    start = restructure(*net);
-  FlowOptions opts;
-  opts.record_vectors = true;
-  opts.max_vector_outputs = want_m;
-  opts.pool = g_pool;
-  const FlowResult result = decompose_to_luts(start, opts);
-  if (result.recorded.empty()) return;
-  const RecordedVector* best = &result.recorded.front();
-  for (const auto& rec : result.recorded)
+  const auto result = recorded_flow(name, want_m);
+  if (!result || result->recorded.empty()) return;
+  const RecordedVector* best = &result->recorded.front();
+  for (const auto& rec : result->recorded)
     if (rec.outputs.size() > best->outputs.size()) best = &rec;
   const unsigned n = best->outputs.front().num_vars();
   if (paper_b >= n) return;

@@ -25,18 +25,9 @@ std::vector<std::string> SynthesisConfig::validate() const {
   };
 
   if (k < 2 || k > 16) bad("k must be in [2, 16] (got %u)", k);
-  if (max_vector_outputs == 0)
-    bad("max_vector_outputs must be >= 1 (got 0)");
-  if (max_vector_outputs > 64)
-    bad("max_vector_outputs must be <= 64 (z-vertex masks are 64-bit; got %u)",
-        max_vector_outputs);
-  if (max_vector_inputs < k)
-    bad("max_vector_inputs (%u) must be >= k (%u): a vector narrower than "
-        "one LUT cannot occur",
-        max_vector_inputs, k);
-  if (max_vector_inputs > TruthTable::kMaxVars)
-    bad("max_vector_inputs must be <= %u (TruthTable limit; got %u)",
-        TruthTable::kMaxVars, max_vector_inputs);
+  // Every valid k fits the flow's widest vector, which fits a TruthTable.
+  static_assert(kMaxVectorInputs >= 16 &&
+                kMaxVectorInputs <= TruthTable::kMaxVars);
   if (max_p == 0) bad("max_p must be >= 1 (got 0)");
   if (max_p > 64)
     bad("max_p must be <= 64 (global classes live in 64-bit masks; got %u)",
@@ -46,15 +37,9 @@ std::vector<std::string> SynthesisConfig::validate() const {
     bad("bound_size (%u) must be <= k (%u): a d-node wider than one LUT "
         "could never be mapped",
         bound_size, k);
-  if (eval_budget == 0) bad("eval_budget must be positive (got 0)");
-  if (samples == 0) bad("samples must be >= 1 (got 0)");
   if (batch_groups == 0) bad("batch_groups must be >= 1 (got 0)");
   if (verify_node_budget == 0)
     bad("verify_node_budget must be positive (got 0)");
-  if (restructure_max_support < 2)
-    bad("restructure_max_support must be >= 2 (got %u)",
-        restructure_max_support);
-  if (restructure_passes == 0) bad("restructure_passes must be >= 1 (got 0)");
   if (result_cache && result_cache_entries == 0)
     bad("result_cache_entries must be >= 1 when result_cache is on (got 0)");
   return diags;
@@ -64,18 +49,9 @@ FlowOptions SynthesisConfig::flow_options() const {
   FlowOptions flow;
   flow.k = k;
   flow.multi_output = multi_output && !classical;
-  flow.output_partitioning = output_partitioning;
-  flow.max_vector_outputs = max_vector_outputs;
-  flow.max_vector_inputs = max_vector_inputs;
-  flow.max_group_trials = max_group_trials;
   flow.imodec.max_p = max_p;
   flow.imodec.strict = strict;
-  flow.imodec.via_v_substitution = via_v_substitution;
   flow.varpart.bound_size = bound_size;
-  flow.varpart.max_exhaustive = max_exhaustive;
-  flow.varpart.samples = samples;
-  flow.varpart.climb_iters = climb_iters;
-  flow.varpart.eval_budget = eval_budget;
   flow.varpart.seed = seed;
   flow.batch_groups = batch_groups;
   flow.degrade = on_exhaustion == OnExhaustion::degrade;
@@ -89,11 +65,7 @@ FlowOptions SynthesisConfig::flow_options() const {
 }
 
 RestructureOptions SynthesisConfig::restructure_options() const {
-  RestructureOptions r;
-  r.max_support = restructure_max_support;
-  r.max_fanout = restructure_max_fanout;
-  r.passes = restructure_passes;
-  return r;
+  return RestructureOptions{};
 }
 
 }  // namespace imodec

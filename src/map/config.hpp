@@ -1,13 +1,14 @@
 #pragma once
 // SynthesisConfig: the one validated knob surface of the pipeline.
 //
-// The library internally still layers FlowOptions -> ImodecOptions /
-// VarPartOptions, but embedders and the CLI should not have to know which
-// struct a knob lives in, and none of the nested structs can check
-// cross-cutting invariants (e.g. max_vector_inputs >= k). This struct
-// flattens every user-facing knob, validates the whole set with
-// human-readable diagnostics, and lowers to the nested structs in one place
-// (flow_options() / restructure_options(), called by the driver).
+// It holds only the knobs callers set: each field is set by a CLI flag, a
+// wire key or a daemon flag (verify_node_budget is also read by the
+// benchmark). Search, grouping and restructuring internals keep their
+// defaults in their own structs (FlowOptions, VarPartOptions, ImodecOptions,
+// RestructureOptions); a bench or test that varies one sets that struct
+// directly. validate() checks the whole set with human-readable
+// diagnostics, and flow_options() / restructure_options() lower it onto
+// those structs in one place (called by the driver).
 
 #include <cstdint>
 #include <optional>
@@ -63,22 +64,13 @@ struct SynthesisConfig {
   // --- LUT flow ------------------------------------------------------------
   unsigned k = 5;                    ///< LUT input count (XC3000: 5)
   bool multi_output = true;          ///< false = "Single" baseline
-  bool output_partitioning = true;   ///< greedy §7 grouping
-  unsigned max_vector_outputs = 8;   ///< m cap per vector
-  unsigned max_vector_inputs = 18;   ///< input-union cap per vector
-  unsigned max_group_trials = 6;     ///< grouping attempts per vector
 
   // --- Engine --------------------------------------------------------------
   std::uint32_t max_p = 64;          ///< global class cap (64-bit z masks)
   bool strict = false;               ///< one code per local class
-  bool via_v_substitution = false;   ///< paper-faithful ψ construction
 
   // --- Bound-set search ----------------------------------------------------
   unsigned bound_size = 5;           ///< b; clamped to n-1 at run time
-  std::size_t max_exhaustive = 4096;
-  std::size_t samples = 64;
-  std::size_t climb_iters = 48;
-  std::uint64_t eval_budget = std::uint64_t{1} << 24;
   std::uint64_t seed = 0xB0D5ull;
 
   // --- Driver --------------------------------------------------------------
@@ -117,7 +109,7 @@ struct SynthesisConfig {
   /// baselines, each keyed by its exact function tuple and the options it
   /// depends on. A hit equals the computation it replaces, so results are
   /// the same with the cache on or off, warm or cold. Vectors wider than
-  /// max_vector_inputs bypass it.
+  /// kMaxVectorInputs (map/lutflow.hpp) bypass it.
   bool result_cache = false;
   /// Bounded LRU capacity of the result cache (entries).
   std::size_t result_cache_entries = 4096;
@@ -133,11 +125,6 @@ struct SynthesisConfig {
   /// 0 (default) = off.
   std::uint64_t progress_ms = 0;
 
-  // --- Restructuring (used when collapsing is off or falls back) -----------
-  unsigned restructure_max_support = 10;  ///< fanin cap after elimination
-  unsigned restructure_max_fanout = 1;    ///< 1 = never duplicate logic
-  unsigned restructure_passes = 4;
-
   // --- Parallel runtime ----------------------------------------------------
   /// Execution width (threads incl. the caller); 0 = hardware concurrency,
   /// 1 = serial. Results are identical for every value.
@@ -151,7 +138,8 @@ struct SynthesisConfig {
   /// prints these instead of asserting deep inside the pipeline.
   std::vector<std::string> validate() const;
 
-  /// Lower to the nested option structs (pre: validate().empty()).
+  /// Lower to the nested option structs (pre: validate().empty()): the
+  /// structs' own defaults, overlaid with this config's knobs.
   FlowOptions flow_options() const;
   RestructureOptions restructure_options() const;
 };

@@ -276,14 +276,8 @@ DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
       opts.threads ? opts.threads : std::thread::hardware_concurrency();
   std::optional<util::ThreadPool> pool;
   if (resolved > 1) pool.emplace(resolved);
-  return run_synthesis(input, opts, mapped, pool ? &*pool : nullptr);
-}
-
-DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
-                           Network& mapped, util::ThreadPool* pool) {
-  RunResources res;
-  res.pool = pool;
-  return run_synthesis(input, opts, mapped, res);
+  return run_synthesis(input, opts, mapped,
+                       RunResources{pool ? &*pool : nullptr});
 }
 
 DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,

@@ -71,15 +71,10 @@ struct DriverReport {
 DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
                            Network& mapped);
 
-/// As above, but execute on the caller's pool (nullptr = serial). The pool
-/// is not owned.
-DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
-                           Network& mapped, util::ThreadPool* pool);
-
 /// Long-lived resources a run may borrow (none owned; every field may be
 /// null). SynthesisSession keeps one of these warm across runs so a served
 /// request never pays cold allocation (DESIGN.md §14):
-///  - pool:      the execution pool (as in the overload above)
+///  - pool:      the execution pool (nullptr = serial)
 ///  - npn_cache: the session result cache; consulted only when
 ///               opts.result_cache is set
 ///  - managers:  recycled BDD managers for the engine's per-vector runs
@@ -89,7 +84,7 @@ struct RunResources {
   bdd::ManagerPool* managers = nullptr;
 };
 
-/// As above with the full warm-resource set.
+/// As above, but on borrowed resources instead of a per-call pool.
 DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
                            Network& mapped, const RunResources& res);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "map/npn_cache.hpp"
@@ -221,7 +222,7 @@ class Flow {
     unsigned trials = 0;
     std::vector<SigId> rejected;
     while (group.size() < opts_.max_vector_outputs &&
-           trials < opts_.max_group_trials) {
+           trials < kMaxGroupTrials) {
       // Candidate with maximum input overlap.
       SigId best = kInvalidSig;
       std::size_t best_shared = 0, best_pos = 0;
@@ -239,7 +240,7 @@ class Flow {
             ++extra;
         }
         if (shared == 0) continue;
-        if (inputs.size() + extra > opts_.max_vector_inputs) continue;
+        if (inputs.size() + extra > kMaxVectorInputs) continue;
         if (shared > best_shared) {
           best_shared = shared;
           best = cand;
@@ -271,14 +272,21 @@ class Flow {
     return group;
   }
 
-  /// Union of fanins, sorted for determinism.
-  std::vector<SigId> group_inputs(const std::vector<SigId>& group) const {
+  /// A group as a function vector: the union of its fanins (sorted, for
+  /// determinism) and each node's table extended to that input list.
+  std::pair<std::vector<SigId>, std::vector<TruthTable>> group_vector(
+      const std::vector<SigId>& group) const {
     std::vector<SigId> inputs;
     for (SigId s : group)
       for (SigId f : net_.node(s).fanins) inputs.push_back(f);
     std::sort(inputs.begin(), inputs.end());
     inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-    return inputs;
+    std::vector<TruthTable> funcs;
+    funcs.reserve(group.size());
+    for (SigId s : group)
+      funcs.push_back(
+          extend_table(net_.node(s).func, net_.node(s).fanins, inputs));
+    return {std::move(inputs), std::move(funcs)};
   }
 
   /// Codewidth of the node's own best single-output decomposition — the
@@ -291,6 +299,7 @@ class Flow {
     const OwnCostKey key{s, node.fanins.size(), node.func.hash()};
     if (auto it = own_cost_.find(key); it != own_cost_.end())
       return it->second;
+    obs::ScopedSpan span("flow.own_cost");
     const unsigned n = static_cast<unsigned>(node.fanins.size());
     unsigned cost = n;
     try {
@@ -317,18 +326,23 @@ class Flow {
   /// group has no usable common bound set. A trial served from the result
   /// cache performs no engine work: no BDD stats, no trial counter.
   int vector_gain(const std::vector<SigId>& group) {
-    const std::vector<SigId> inputs = group_inputs(group);
-    if (inputs.size() > TruthTable::kMaxVars) return -1;
+    // next_group keeps the input union within kMaxVectorInputs.
+    const auto [inputs, funcs] = group_vector(group);
     const unsigned n = static_cast<unsigned>(inputs.size());
-    std::vector<TruthTable> funcs;
-    funcs.reserve(group.size());
-    for (SigId s : group)
-      funcs.push_back(extend_table(net_.node(s).func, net_.node(s).fanins,
-                                   inputs));
     std::optional<unsigned> q;
     try {
+      obs::ScopedSpan span("flow.trial");
       q = cached(CacheFamily::trial, funcs, [&] {
-            return trial_decomposition(funcs, n);
+            ImodecStats st;
+            NpnCache::Entry e =
+                decompose_vector(funcs, n, trimmed_varpart_for(n), st);
+            absorb_bdd(st);
+            // Every engine run fills l_k first; a trial that stopped at the
+            // search or the p check ran no engine.
+            if (!st.l_k.empty()) obs::count("flow.trial_decompositions");
+            if (e.dec) e.cost = e.dec->q();
+            e.dec.reset();  // a trial keeps only q
+            return e;
           }).cost;
     } catch (const util::ResourceExhausted&) {
       // Degrade: an exhausted trial is just a rejected combination —
@@ -341,39 +355,11 @@ class Flow {
     return own_sum - static_cast<int>(*q);
   }
 
-  /// Trial decomposition of a candidate vector with a trimmed search: its
-  /// q in Entry::cost, or the DecomposeError that rules the vector out.
-  NpnCache::Entry trial_decomposition(const std::vector<TruthTable>& funcs,
-                                      unsigned num_inputs) {
-    NpnCache::Entry e;
-    const auto choice =
-        choose_bound_set(funcs, num_inputs, trimmed_varpart_for(num_inputs));
-    if (!choice) {
-      e.error = DecomposeError::no_nontrivial_bound_set;
-      return e;
-    }
-    if (choice->p() > opts_.imodec.max_p) {
-      e.error = DecomposeError::p_overflow;
-      return e;
-    }
-    ImodecStats st;
-    ImodecOptions iopts = opts_.imodec;
-    iopts.guard = opts_.guard;
-    const auto dec = decompose_multi_output(funcs, choice->vp, iopts, &st);
-    absorb_bdd(st);
-    obs::count("flow.trial_decompositions");
-    if (dec)
-      e.cost = dec->q();
-    else
-      e.error = dec.error();
-    return e;
-  }
-
   /// The flow's one memo seam: serve `tables` from the session result cache
   /// under (family, decomposition knobs, exact tables), or run `compute` and
   /// store what it returns. Exact keys make a hit equal to the computation
   /// it replaces, so cache-on runs equal cache-off runs (DESIGN.md §14.3).
-  /// Vectors wider than max_vector_inputs bypass the cache. Exceptions from
+  /// Vectors wider than kMaxVectorInputs bypass the cache. Exceptions from
   /// `compute` (resource trips — timing-dependent) propagate unstored. With
   /// cache_verify_hits every served decomposition is recomposed against its
   /// key first; a mismatch is counted and recomputed.
@@ -382,7 +368,7 @@ class Flow {
                          const std::vector<TruthTable>& tables,
                          Compute&& compute) const {
     NpnCache* const cache = opts_.npn_cache;
-    if (!cache || tables.front().num_vars() > opts_.max_vector_inputs)
+    if (!cache || tables.front().num_vars() > kMaxVectorInputs)
       return compute();
     NpnCache::Key key{family, knobs_, tables};
     if (std::optional<NpnCache::Entry> hit = cache->lookup(key)) {
@@ -400,10 +386,12 @@ class Flow {
     return e;
   }
 
-  /// Bound-set search options for a vector over `num_inputs` variables.
+  /// Bound-set search options for a vector over `num_inputs` variables (b
+  /// capped at k and at num_inputs - 1).
   VarPartOptions varpart_for(std::size_t num_inputs) const {
     VarPartOptions vopts = opts_.varpart;
-    vopts.bound_size = bound_size_for(num_inputs);
+    vopts.bound_size = static_cast<unsigned>(std::min<std::size_t>(
+        {opts_.k, opts_.varpart.bound_size, num_inputs - 1}));
     vopts.pool = opts_.pool;  // nested calls degrade to inline gracefully
     vopts.guard = opts_.guard;
     return vopts;
@@ -420,22 +408,14 @@ class Flow {
     return vopts;
   }
 
-  unsigned bound_size_for(std::size_t num_inputs) const {
-    const std::size_t cap =
-        std::min<std::size_t>(opts_.k, opts_.varpart.bound_size);
-    return static_cast<unsigned>(std::min(cap, num_inputs - 1));
-  }
-
   /// Everything one group needs computed before it can be merged into the
   /// network. Produced in parallel (read-only over net_); consumed serially.
   struct GroupComputation {
     std::vector<SigId> group;
     std::vector<SigId> inputs;
     std::vector<TruthTable> funcs;
-    std::optional<Decomposition> dec;
-    std::optional<DecomposeError> error;  // set when !dec
+    NpnCache::Entry result;  // the decomposition, or the error ruling it out
     ImodecStats st;
-    bool engine_ran = false;
     /// Degradation-ladder outcomes (degrade mode only; see DESIGN.md §12).
     bool drained = false;    // deadline already expired: skip search entirely
     bool exhausted = false;  // the guard tripped during search/engine
@@ -452,43 +432,29 @@ class Flow {
   /// Phase 2 worker: decompose one group. Reads net_ and opts_ only — no
   /// member mutation, so any number of these can run concurrently.
   GroupComputation compute_group(std::vector<SigId> group) const {
+    // Groups are node-disjoint and a merge rewrites only its own group's
+    // nodes, so every member is still wide.
+    assert(std::all_of(group.begin(), group.end(), [&](SigId s) {
+      return net_.node(s).fanins.size() > opts_.k;
+    }));
     GroupComputation c;
-    // Drop group members that became narrow in the meantime (cannot happen
-    // today, but keeps the invariant local).
-    group.erase(std::remove_if(group.begin(), group.end(),
-                               [&](SigId s) {
-                                 return net_.node(s).fanins.size() <= opts_.k;
-                               }),
-                group.end());
     c.group = std::move(group);
-    if (c.group.empty()) return c;
     if (draining()) {
       c.drained = true;
       return c;
     }
 
-    c.inputs = group_inputs(c.group);
-    c.funcs.reserve(c.group.size());
-    for (SigId s : c.group)
-      c.funcs.push_back(
-          extend_table(net_.node(s).func, net_.node(s).fanins, c.inputs));
-
+    std::tie(c.inputs, c.funcs) = group_vector(c.group);
     try {
-      NpnCache::Entry ent =
-          cached(CacheFamily::decomposition, c.funcs, [&] {
-            return decompose_vector(c.funcs,
-                                    static_cast<unsigned>(c.inputs.size()), c);
-          });
-      if (ent.dec)
-        c.dec = std::move(*ent.dec);
-      else
-        c.error = ent.error;
+      c.result = cached(CacheFamily::decomposition, c.funcs, [&] {
+        const auto n = static_cast<unsigned>(c.inputs.size());
+        return decompose_vector(c.funcs, n, varpart_for(n), c.st);
+      });
     } catch (const util::ResourceExhausted& e) {
       // Degrade policy: remember what tripped and let the merge step walk
       // the ladder. Fail policy: unwind (through parallel_for when pooled —
       // the first exception stops the remaining chunks).
       if (!opts_.degrade) throw;
-      c.dec.reset();
       c.exhausted = true;
       c.exhausted_kind = e.kind();
     }
@@ -499,8 +465,7 @@ class Flow {
   /// batch order). Structural hashing, stats accumulation and the fallback
   /// paths all live here so they need no synchronization.
   void apply_computation(GroupComputation& c) {
-    if (c.group.empty()) return;
-    if (c.engine_ran) absorb_bdd(c.st);
+    absorb_bdd(c.st);
     if (c.drained) {
       for (SigId s : c.group)
         shannon_degrade(s, degrade_.drained, "drain_shannon");
@@ -517,9 +482,9 @@ class Flow {
       for (SigId s : c.group) degrade_single(s);
       return;
     }
-    if (!c.dec) {
-      if (c.error)
-        ++stats_.errors[static_cast<std::size_t>(*c.error)];
+    if (!c.result.dec) {
+      if (c.result.error)
+        ++stats_.errors[static_cast<std::size_t>(*c.result.error)];
       if (c.group.size() > 1) {
         // No common bound set: fall back to individual processing.
         for (SigId s : c.group) process_single(s);
@@ -538,16 +503,16 @@ class Flow {
       // functions than the outputs' own single-output decompositions would.
       unsigned own_sum = 0;
       for (SigId s : c.group) own_sum += own_cost(s);
-      if (c.dec->q() > own_sum) {
+      if (c.result.dec->q() > own_sum) {
         for (SigId s : c.group) process_single(s);
         return;
       }
     }
 
     if (opts_.record_vectors && recorded_.size() < 64)
-      recorded_.push_back(RecordedVector{c.funcs, c.dec->vp, c.st});
+      recorded_.push_back(RecordedVector{c.funcs, c.result.dec->vp, c.st});
 
-    apply_decomposition(c.group, c.inputs, *c.dec);
+    apply_decomposition(c.group, c.inputs, *c.result.dec);
 
     ++stats_.vectors;
     stats_.lmax_rounds += c.st.lmax_rounds;
@@ -560,16 +525,18 @@ class Flow {
       stats_.shared_functions += static_cast<unsigned>(sum_c) - c.st.q;
   }
 
-  /// Core of compute_group: bound-set search plus engine / single-output
-  /// decomposition of one function vector. Exactly one of dec/error is set
-  /// in the returned entry; resource trips propagate as exceptions. Runs on
-  /// the caller's thread and mutates only c.st/c.engine_ran.
+  /// The flow's one search-and-decompose routine, shared by committed
+  /// groups (compute_group) and grouping trials (vector_gain): bound-set
+  /// search under `vopts`, the p check, then the engine, or in single-output
+  /// mode the strict single-output decomposition. Exactly one of dec/error
+  /// is set in the returned entry; resource trips propagate as exceptions.
+  /// Mutates only `st`, so concurrent calls are safe.
   NpnCache::Entry decompose_vector(const std::vector<TruthTable>& funcs,
                                    unsigned num_inputs,
-                                   GroupComputation& c) const {
+                                   const VarPartOptions& vopts,
+                                   ImodecStats& st) const {
     NpnCache::Entry ent;
-    const auto choice =
-        choose_bound_set(funcs, num_inputs, varpart_for(num_inputs));
+    const auto choice = choose_bound_set(funcs, num_inputs, vopts);
     if (!choice) {
       ent.error = DecomposeError::no_nontrivial_bound_set;
       return ent;
@@ -581,17 +548,19 @@ class Flow {
     if (opts_.multi_output) {
       ImodecOptions iopts = opts_.imodec;
       iopts.guard = opts_.guard;
-      auto res = decompose_multi_output(funcs, choice->vp, iopts, &c.st);
-      c.engine_ran = true;
+      auto res = decompose_multi_output(funcs, choice->vp, iopts, &st);
       if (res)
         ent.dec = std::move(*res);
       else
         ent.error = res.error();
     } else {
-      // Single-output mode within the group (groups are singletons there,
-      // but keep it general): decompose each output separately and merge.
-      ent.dec =
-          single_output_decomposition(funcs, choice->vp, &c.st, opts_.guard);
+      // The "Single" baseline: single-output mode builds only one-node
+      // groups (next_group, process_single), each decomposed on its own.
+      assert(funcs.size() == 1);
+      ent.dec = decompose_single_output(funcs[0], choice->vp, opts_.guard);
+      st.l_k = {0};
+      st.c_k = {ent.dec->q()};
+      st.q = ent.dec->q();
     }
     return ent;
   }
@@ -602,37 +571,6 @@ class Flow {
   void process_single(SigId s) {
     GroupComputation c = compute_group({s});
     apply_computation(c);
-  }
-
-  /// Per-output strict decomposition merged into one Decomposition (the
-  /// "Single" baseline; identical d functions are still merged since they
-  /// are structurally hashed when materialized, but no cross-output search
-  /// happens).
-  static std::optional<Decomposition> single_output_decomposition(
-      const std::vector<TruthTable>& funcs, const VarPartition& vp,
-      ImodecStats* st, util::ResourceGuard* guard) {
-    Decomposition merged;
-    merged.vp = vp;
-    for (const TruthTable& f : funcs) {
-      Decomposition one = decompose_single_output(f, vp, guard);
-      Decomposition::OutputPlan plan;
-      for (unsigned j = 0; j < one.q(); ++j) {
-        merged.d_funcs.push_back(one.d_funcs[j]);
-        plan.d_index.push_back(static_cast<unsigned>(merged.d_funcs.size()) -
-                               1);
-      }
-      plan.g = std::move(one.outputs[0].g);
-      merged.outputs.push_back(std::move(plan));
-      if (st) {
-        st->l_k.push_back(0);
-        st->c_k.push_back(one.q());
-      }
-    }
-    if (st) {
-      st->q = merged.q();
-      st->p = 0;
-    }
-    return merged;
   }
 
   void apply_decomposition(const std::vector<SigId>& group,

@@ -28,6 +28,13 @@ namespace imodec {
 
 class NpnCache;
 
+/// Cap on the input union of a vector: grouping does not combine candidates
+/// pushing past it (keeps the truth-table work per trial bounded), and wider
+/// vectors bypass the result cache.
+inline constexpr unsigned kMaxVectorInputs = 18;
+/// Cap on candidate combinations tried per group before giving up.
+inline constexpr unsigned kMaxGroupTrials = 6;
+
 struct FlowOptions {
   unsigned k = 5;  // LUT size (XC3000: 5)
   /// false = "Single" column: every node decomposed on its own.
@@ -37,11 +44,6 @@ struct FlowOptions {
   /// Cap on the number of outputs per vector (the paper limits m when the
   /// global class count explodes, e.g. alu4).
   unsigned max_vector_outputs = 8;
-  /// Cap on the input union of a vector; candidates pushing past it are not
-  /// combined (keeps the truth-table work per trial bounded).
-  unsigned max_vector_inputs = 18;
-  /// Cap on candidate combinations tried per group before giving up.
-  unsigned max_group_trials = 6;
   ImodecOptions imodec;
   VarPartOptions varpart;
   /// Record the function vectors handed to the engine (Table-1 style

@@ -12,22 +12,25 @@ namespace imodec {
 
 namespace {
 
+/// The config echo: every knob the flow ran with, read from the config and,
+/// for internals it does not set, from its lowering and the flow's constants.
 obs::Json config_json(const SynthesisConfig& c) {
+  const FlowOptions flow = c.flow_options();
   obs::Json j = obs::Json::object();
   j["k"] = c.k;
   j["multi_output"] = c.multi_output;
-  j["output_partitioning"] = c.output_partitioning;
-  j["max_vector_outputs"] = c.max_vector_outputs;
-  j["max_vector_inputs"] = c.max_vector_inputs;
-  j["max_group_trials"] = c.max_group_trials;
+  j["output_partitioning"] = flow.output_partitioning;
+  j["max_vector_outputs"] = flow.max_vector_outputs;
+  j["max_vector_inputs"] = kMaxVectorInputs;
+  j["max_group_trials"] = kMaxGroupTrials;
   j["max_p"] = c.max_p;
   j["strict"] = c.strict;
-  j["via_v_substitution"] = c.via_v_substitution;
+  j["via_v_substitution"] = flow.imodec.via_v_substitution;
   j["bound_size"] = c.bound_size;
-  j["max_exhaustive"] = c.max_exhaustive;
-  j["samples"] = c.samples;
-  j["climb_iters"] = c.climb_iters;
-  j["eval_budget"] = c.eval_budget;
+  j["max_exhaustive"] = flow.varpart.max_exhaustive;
+  j["samples"] = flow.varpart.samples;
+  j["climb_iters"] = flow.varpart.climb_iters;
+  j["eval_budget"] = flow.varpart.eval_budget;
   j["seed"] = c.seed;
   j["collapse"] = c.collapse;
   j["classical"] = c.classical;

@@ -8,8 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "circuits/registry.hpp"
 #include "imodec/engine.hpp"
 #include "logic/truthtable.hpp"
+#include "map/lutflow.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -237,6 +239,20 @@ TEST_F(ObsTest, EngineRunAggregatesIntoRegistry) {
   EXPECT_TRUE(children.count("engine.partitions"));
   EXPECT_TRUE(children.count("engine.chi"));
   EXPECT_TRUE(children.count("engine.lmax"));
+
+  // In a flow run on a multi-output circuit, grouping's trial
+  // decompositions and own-cost baselines are named spans in flow.select.
+  Trace::global().clear();
+  const auto flat = collapse_network(*circuits::make_benchmark("rd84"));
+  ASSERT_TRUE(flat.has_value());
+  decompose_to_luts(*flat, FlowOptions{});
+  const auto flow_spans = Trace::global().snapshot();
+  std::set<std::string> in_select;
+  for (const auto& s : flow_spans)
+    if (s.parent >= 0 && flow_spans[s.parent].name == "flow.select")
+      in_select.insert(s.name);
+  EXPECT_TRUE(in_select.count("flow.trial"));
+  EXPECT_TRUE(in_select.count("flow.own_cost"));
 }
 
 TEST_F(ObsTest, DisabledModeHasZeroSideEffects) {

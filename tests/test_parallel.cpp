@@ -11,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -20,6 +21,7 @@
 #include "map/config.hpp"
 #include "map/driver.hpp"
 #include "map/lutflow.hpp"
+#include "map/report.hpp"
 #include "map/session.hpp"
 #include "paper_fixtures.hpp"
 #include "util/resource.hpp"
@@ -333,9 +335,37 @@ TEST(SynthesisConfig, CrossFieldChecks) {
   SynthesisConfig cfg;
   cfg.bound_size = cfg.k + 1;  // d-node wider than one LUT
   EXPECT_EQ(cfg.validate().size(), 1u);
-  cfg = SynthesisConfig{};
-  cfg.max_vector_inputs = cfg.k - 1;  // vector narrower than one LUT
-  EXPECT_EQ(cfg.validate().size(), 1u);
+}
+
+TEST(SynthesisConfig, DefaultLowersToLibraryDefaults) {
+  // Each default is stated once: the config's lowering carries the library
+  // structs' own values on every knob the result cache keys on.
+  const auto knobs = [](const FlowOptions& o) {
+    return std::tuple(o.k, o.multi_output, o.imodec.max_p, o.imodec.strict,
+                      o.imodec.via_v_substitution, o.varpart.bound_size,
+                      o.varpart.max_exhaustive, o.varpart.samples,
+                      o.varpart.climb_iters, o.varpart.eval_budget,
+                      o.varpart.seed, o.varpart.require_nontrivial,
+                      o.batch_groups);
+  };
+  EXPECT_EQ(knobs(SynthesisConfig{}.flow_options()), knobs(FlowOptions{}));
+
+  // The run report (schema_version 2) echoes every knob the flow ran with,
+  // including the internals the config no longer holds.
+  const obs::Json report =
+      build_run_report("default", SynthesisConfig{}, DriverReport{});
+  EXPECT_EQ(report.find("schema_version")->as_number(), 2);
+  EXPECT_EQ(report.find("config")->dump(),
+            R"({"k":5,"multi_output":true,"output_partitioning":true,)"
+            R"("max_vector_outputs":8,"max_vector_inputs":18,)"
+            R"("max_group_trials":6,"max_p":64,"strict":false,)"
+            R"("via_v_substitution":false,"bound_size":5,)"
+            R"("max_exhaustive":4096,"samples":64,"climb_iters":48,)"
+            R"("eval_budget":16777216,"seed":45269,"collapse":true,)"
+            R"("classical":false,"verify":"auto",)"
+            R"("verify_node_budget":2097152,"timeout_ms":0,"node_budget":0,)"
+            R"("on_exhaustion":"fail","threads":0,"batch_groups":8,)"
+            R"("result_cache":false,"result_cache_entries":4096})");
 }
 
 TEST(SynthesisConfig, LowersEveryKnob) {
