@@ -12,6 +12,7 @@
 #include "bdd/bdd.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "decomp/classes.hpp"
 #include "imodec/chi.hpp"
 #include "imodec/engine.hpp"
@@ -363,6 +364,12 @@ int main(int argc, char** argv) {
   // diffs it against the default run); --report-dir wants the registry
   // populated, so it implies the same.
   if (obs_on || report_dir) obs::set_enabled(true);
+  // The benchmarks call the layers directly, outside any run, so the
+  // instrumented configuration needs a sink of its own for spans to record:
+  // one trace for the whole process, never read.
+  std::optional<obs::Trace> trace;
+  if (obs::enabled()) trace.emplace();
+  const obs::TraceScope trace_scope({trace ? &*trace : nullptr});
   g_threads = threads.value_or(1);
   if (g_threads == 0) g_threads = std::thread::hardware_concurrency();
   benchmark::Initialize(&argc, argv);

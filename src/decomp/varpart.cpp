@@ -84,9 +84,9 @@ Results evaluate_candidates(const std::vector<TruthTable>& outputs,
     });
   };
   if (opts.pool && cands.size() > 1) {
-    const int parent = obs::enabled() ? obs::Trace::global().current() : -1;
+    const obs::TraceContext ctx = obs::TraceContext::current();
     opts.pool->parallel_for(cands.size(), [&](std::size_t i) {
-      obs::AdoptParentScope adopt(parent);
+      const obs::TraceScope scope(ctx);
       eval_one(i);
     });
   } else {

@@ -147,15 +147,15 @@ void run_verification(const Network& input, const Network& mapped,
   if (!rep.verified) obs::count("flow.verify.fail");
 }
 
-/// The pipeline proper, minus the flight-recorder envelope that the public
-/// run_synthesis wraps around it (enable + clear + dump-on-unwind).
+/// The pipeline proper, minus the envelope that the public run_synthesis
+/// wraps around it: the run's trace and the flight recorder (enable + clear
+/// + dump-on-unwind).
 DriverReport run_synthesis_governed(const Network& input,
                                     const SynthesisConfig& opts,
                                     Network& mapped,
                                     const RunResources& res) {
   util::ThreadPool* const pool = res.pool;
   DriverReport rep;
-  const std::size_t trace_base = obs::Trace::global().size();
   obs::ScopedSpan run_span("driver.run_synthesis");
 
   // One guard per run (shared by every worker of its pool); no knobs set
@@ -255,12 +255,6 @@ DriverReport run_synthesis_governed(const Network& input,
 
   if (obs::enabled()) {
     obs::count("driver.runs");
-    rep.spans = obs::Trace::global().snapshot_since(trace_base);
-    // The root span is still open (its ScopedSpan ends on return); close it
-    // in the copy so the report shows the full run time.
-    for (obs::Span& s : rep.spans)
-      if (s.dur < 0 && s.name == "driver.run_synthesis")
-        s.dur = run_span.seconds();
     rep.counters = obs::Registry::instance().counters();
   }
   return rep;
@@ -289,8 +283,15 @@ DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
   obs::FlightEnableScope flight_scope(governed || opts.progress_ms > 0 ||
                                       obs::enabled());
   if (obs::flight_enabled()) obs::FlightRecorder::instance().clear();
+  // The run's own span log: every span of this run, on this thread and on
+  // the pool workers it fans out to, lands here and nowhere else.
+  std::optional<obs::Trace> trace;
+  if (obs::enabled()) trace.emplace();
+  const obs::TraceScope trace_scope({trace ? &*trace : nullptr});
   try {
-    return run_synthesis_governed(input, opts, mapped, res);
+    DriverReport rep = run_synthesis_governed(input, opts, mapped, res);
+    if (trace) rep.spans = trace->take();  // root span closed on return
+    return rep;
   } catch (const util::ResourceExhausted& e) {
     // Record the trip itself, then dump the ring to stderr as one compact
     // JSON line before the exception escapes (DESIGN.md §13.2). Timeout
@@ -357,7 +358,7 @@ std::string format_report(const std::string& name, const DriverReport& rep) {
                    rep.verified ? "PASS" : "FAIL", strength);
   }
   if (!rep.spans.empty()) {
-    s += "--- phases (total ms x calls) ---\n";
+    s += "--- phases (total ms, self ms, x calls) ---\n";
     s += obs::trace_summary(rep.spans);
   }
   if (!rep.counters.empty()) {

@@ -51,9 +51,9 @@ struct DriverReport {
   /// Input assignment (indexed like input.inputs()) where the mapped
   /// network differs, when !verified and the check found one.
   std::optional<std::vector<bool>> counterexample;
-  /// Observability section, populated only when obs::enabled(): the spans
-  /// recorded during this run (re-rooted at `driver.run_synthesis`) and a
-  /// snapshot of the process-wide counter registry taken at the end.
+  /// Observability section, populated only when obs::enabled(): the run's
+  /// own spans (one root, `driver.run_synthesis`) and a snapshot of the
+  /// process-wide counter registry taken at the end.
   std::vector<obs::Span> spans;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };

@@ -109,10 +109,9 @@ class Flow {
           comps[i] = compute_group(std::move(batch[i]));
         };
         if (opts_.pool && batch.size() > 1) {
-          const int parent =
-              obs::enabled() ? obs::Trace::global().current() : -1;
+          const obs::TraceContext ctx = obs::TraceContext::current();
           opts_.pool->parallel_for(batch.size(), [&](std::size_t i) {
-            obs::AdoptParentScope adopt(parent);
+            const obs::TraceScope scope(ctx);
             compute(i);
           });
         } else {
@@ -296,8 +295,7 @@ class Flow {
   /// fanin count (they would go through Shannon expansion).
   unsigned own_cost(SigId s) {
     const auto& node = net_.node(s);
-    const OwnCostKey key{s, node.fanins.size(), node.func.hash()};
-    if (auto it = own_cost_.find(key); it != own_cost_.end())
+    if (auto it = own_cost_.find(node.func); it != own_cost_.end())
       return it->second;
     obs::ScopedSpan span("flow.own_cost");
     const unsigned n = static_cast<unsigned>(node.fanins.size());
@@ -318,7 +316,7 @@ class Flow {
       // Fail: unwind to the caller.
       if (!opts_.degrade) throw;
     }
-    own_cost_.emplace(key, cost);
+    own_cost_.emplace(node.func, cost);
     return cost;
   }
 
@@ -720,18 +718,6 @@ class Flow {
     stats_.bdd_cache_hits += st.bdd_cache_hits;
   }
 
-  struct OwnCostKey {
-    SigId sig;
-    std::size_t fanins;
-    std::size_t func_hash;
-    bool operator==(const OwnCostKey&) const = default;
-  };
-  struct OwnCostKeyHash {
-    std::size_t operator()(const OwnCostKey& k) const {
-      return k.sig * 0x9e3779b97f4a7c15ull ^ (k.fanins << 17) ^ k.func_hash;
-    }
-  };
-
   Network net_;
   FlowOptions opts_;
   std::vector<std::uint64_t> knobs_;  // result-cache key part (constant)
@@ -740,7 +726,9 @@ class Flow {
   std::vector<SigId> worklist_;
   std::vector<RecordedVector> recorded_;
   std::unordered_map<NodeKey, SigId, NodeKeyHash> hash_;
-  std::unordered_map<OwnCostKey, unsigned, OwnCostKeyHash> own_cost_;
+  /// own_cost() by node table: the cost is a pure function of the table
+  /// (its fanin count is the table's arity), so the table itself is the key.
+  std::unordered_map<TruthTable, unsigned, TruthTableHash> own_cost_;
 };
 
 }  // namespace

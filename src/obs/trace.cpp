@@ -1,143 +1,90 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <thread>
+#include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/strings.hpp"
 
 namespace imodec::obs {
 
 namespace {
 
+thread_local TraceContext t_context;
+
 std::uint64_t this_thread_id() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
+  static thread_local const std::uint64_t tid =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  return tid;
 }
 
 }  // namespace
 
 Trace::Trace() : epoch_(std::chrono::steady_clock::now()) {}
 
-Trace& Trace::global() {
-  static Trace* trace = new Trace();  // leaked: outlives all users
-  return *trace;
-}
-
-int Trace::begin(std::string name) {
-  if (!enabled()) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  const std::uint64_t tid = this_thread_id();
-  std::lock_guard<std::mutex> lock(mu_);
+int Trace::begin(const char* name, int parent,
+                 std::chrono::steady_clock::time_point now) {
   Span span;
-  span.name = std::move(name);
+  span.name = name;
+  span.parent = parent;
   span.start = std::chrono::duration<double>(now - epoch_).count();
-  span.tid = tid;
-  std::vector<int>& stack = open_[tid];
-  if (!stack.empty()) {
-    span.parent = stack.back();
-  } else {
-    const auto it = adopted_.find(tid);
-    span.parent = it == adopted_.end() ? -1 : it->second;
-  }
-  const int id = static_cast<int>(spans_.size());
+  span.tid = this_thread_id();
+  std::lock_guard<std::mutex> lock(mu_);
   spans_.push_back(std::move(span));
-  stack.push_back(id);
-  return id;
+  return static_cast<int>(spans_.size()) - 1;
 }
 
 void Trace::end(int id) {
-  if (id < 0) return;
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<std::size_t>(id) >= spans_.size()) return;  // cleared since
+  if (static_cast<std::size_t>(id) >= spans_.size()) return;  // taken since
   Span& span = spans_[static_cast<std::size_t>(id)];
   span.dur = std::chrono::duration<double>(now - epoch_).count() - span.start;
-  std::vector<int>& stack = open_[span.tid];
-  // Normally `id` is the top of this thread's stack; tolerate out-of-order
-  // ends (e.g. a span outliving a clear) by popping through it.
-  while (!stack.empty()) {
-    const int top = stack.back();
-    stack.pop_back();
-    if (top == id) break;
-  }
 }
 
-int Trace::current() const {
-  const std::uint64_t tid = this_thread_id();
+std::vector<Span> Trace::take() {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = open_.find(tid);
-  if (it == open_.end() || it->second.empty()) return -1;
-  return it->second.back();
+  return std::exchange(spans_, {});
 }
 
-int Trace::adopt_parent(int span_id) {
-  const std::uint64_t tid = this_thread_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  int prev = -1;
-  if (const auto it = adopted_.find(tid); it != adopted_.end())
-    prev = it->second;
-  if (span_id < 0)
-    adopted_.erase(tid);
-  else
-    adopted_[tid] = span_id;
-  return prev;
+TraceContext TraceContext::current() { return t_context; }
+
+TraceScope::TraceScope(TraceContext ctx) : prev_(t_context) {
+  t_context = ctx;
 }
 
-std::size_t Trace::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
+TraceScope::~TraceScope() { t_context = prev_; }
+
+ScopedSpan::ScopedSpan(const char* name)
+    : start_(std::chrono::steady_clock::now()), trace_(t_context.trace) {
+  if (!trace_) return;
+  parent_ = t_context.parent;
+  id_ = trace_->begin(name, parent_, start_);
+  t_context.parent = id_;
 }
 
-std::vector<Span> Trace::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::vector<Span> Trace::snapshot_since(std::size_t base) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Span> out;
-  if (base >= spans_.size()) return out;
-  out.assign(spans_.begin() + static_cast<long>(base), spans_.end());
-  for (Span& s : out)
-    s.parent = s.parent < static_cast<int>(base)
-                   ? -1
-                   : s.parent - static_cast<int>(base);
-  return out;
-}
-
-void Trace::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
-  open_.clear();
-  adopted_.clear();
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-std::string trace_text(const std::vector<Span>& spans) {
-  // Children in recorded (chronological) order.
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent < 0)
-      roots.push_back(static_cast<int>(i));
-    else
-      children[static_cast<std::size_t>(spans[i].parent)].push_back(
-          static_cast<int>(i));
-  }
-  std::string out;
-  const std::function<void(int, int)> emit = [&](int idx, int depth) {
-    const Span& s = spans[static_cast<std::size_t>(idx)];
-    out += strprintf("  %*s%-*s %9.3f ms\n", depth * 2, "",
-                     36 - depth * 2, s.name.c_str(),
-                     (s.dur < 0 ? 0.0 : s.dur) * 1e3);
-    for (int c : children[static_cast<std::size_t>(idx)]) emit(c, depth + 1);
-  };
-  for (int r : roots) emit(r, 0);
-  return out;
+ScopedSpan::~ScopedSpan() {
+  if (!trace_) return;
+  trace_->end(id_);
+  t_context.parent = parent_;
 }
 
 namespace {
 
+/// Children of each span in recorded (chronological) order; the roots are
+/// the last entry, at index spans.size().
+std::vector<std::vector<int>> children_index(const std::vector<Span>& spans) {
+  std::vector<std::vector<int>> children(spans.size() + 1);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const int p = spans[i].parent;
+    children[p < 0 ? spans.size() : static_cast<std::size_t>(p)].push_back(
+        static_cast<int>(i));
+  }
+  return children;
+}
+
+/// One node of the rollup: same-named siblings merged.
 struct AggNode {
   double total = 0.0;
   std::size_t count = 0;
@@ -150,18 +97,10 @@ struct AggNode {
   }
 };
 
-}  // namespace
-
-std::string trace_summary(const std::vector<Span>& spans) {
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent < 0)
-      roots.push_back(static_cast<int>(i));
-    else
-      children[static_cast<std::size_t>(spans[i].parent)].push_back(
-          static_cast<int>(i));
-  }
+/// The rollup tree both trace_rollup_json and trace_summary render; the
+/// returned node is a nameless top whose children are the merged roots.
+AggNode rollup(const std::vector<Span>& spans) {
+  const std::vector<std::vector<int>> children = children_index(spans);
   AggNode top;
   const std::function<void(int, AggNode&)> fold = [&](int idx, AggNode& into) {
     const Span& s = spans[static_cast<std::size_t>(idx)];
@@ -170,33 +109,35 @@ std::string trace_summary(const std::vector<Span>& spans) {
     ++n.count;
     for (int c : children[static_cast<std::size_t>(idx)]) fold(c, n);
   };
-  for (int r : roots) fold(r, top);
+  for (int r : children.back()) fold(r, top);
+  return top;
+}
 
+}  // namespace
+
+std::string trace_summary(const std::vector<Span>& spans) {
   std::string out;
   const std::function<void(const AggNode&, int)> emit = [&](const AggNode& n,
                                                            int depth) {
     for (const auto& [name, c] : n.children) {
-      out += strprintf("  %*s%-*s %9.3f ms", depth * 2, "", 36 - depth * 2,
-                       name.c_str(), c.total * 1e3);
+      double self = c.total;
+      for (const auto& kid : c.children) self -= kid.second.total;
+      // Children run on pool workers can sum past their parent's wall time.
+      self = std::max(self, 0.0);
+      out += strprintf("  %*s%-*s %9.3f ms  self %9.3f ms", depth * 2, "",
+                       36 - depth * 2, name.c_str(), c.total * 1e3,
+                       self * 1e3);
       if (c.count > 1) out += strprintf("  x%zu", c.count);
       out.push_back('\n');
       emit(c, depth + 1);
     }
   };
-  emit(top, 0);
+  emit(rollup(spans), 0);
   return out;
 }
 
 Json trace_json(const std::vector<Span>& spans) {
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent < 0)
-      roots.push_back(static_cast<int>(i));
-    else
-      children[static_cast<std::size_t>(spans[i].parent)].push_back(
-          static_cast<int>(i));
-  }
+  const std::vector<std::vector<int>> children = children_index(spans);
   const std::function<Json(int)> emit = [&](int idx) {
     const Span& s = spans[static_cast<std::size_t>(idx)];
     Json node = Json::object();
@@ -210,30 +151,11 @@ Json trace_json(const std::vector<Span>& spans) {
     return node;
   };
   Json out = Json::array();
-  for (int r : roots) out.push_back(emit(r));
+  for (int r : children.back()) out.push_back(emit(r));
   return out;
 }
 
 Json trace_rollup_json(const std::vector<Span>& spans) {
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent < 0)
-      roots.push_back(static_cast<int>(i));
-    else
-      children[static_cast<std::size_t>(spans[i].parent)].push_back(
-          static_cast<int>(i));
-  }
-  AggNode top;
-  const std::function<void(int, AggNode&)> fold = [&](int idx, AggNode& into) {
-    const Span& s = spans[static_cast<std::size_t>(idx)];
-    AggNode& n = into.child(s.name);
-    n.total += s.dur < 0 ? 0.0 : s.dur;
-    ++n.count;
-    for (int c : children[static_cast<std::size_t>(idx)]) fold(c, n);
-  };
-  for (int r : roots) fold(r, top);
-
   const std::function<Json(const AggNode&)> emit = [&](const AggNode& n) {
     Json kids = Json::array();
     for (const auto& [name, c] : n.children) {
@@ -246,7 +168,7 @@ Json trace_rollup_json(const std::vector<Span>& spans) {
     }
     return kids;
   };
-  return emit(top);
+  return emit(rollup(spans));
 }
 
 Json trace_chrome_json(const std::vector<Span>& spans) {

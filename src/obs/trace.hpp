@@ -2,29 +2,30 @@
 // Phase-scoped tracing: RAII spans forming a tree with durations.
 //
 // A Trace records spans into a flat vector; each span knows its parent index
-// so exporters can rebuild the tree. Nesting is tracked per thread (each
-// thread has its own open-span stack), and all mutation goes through one
-// per-trace mutex, so concurrent pipeline stages can trace into the same
-// object. When obs::enabled() is false, ScopedSpan records nothing and costs
-// one relaxed atomic load plus a clock read — the clock read is kept because
-// ScopedSpan::seconds() doubles as the pipeline's only timing primitive
-// (ImodecStats/FlowStats derive their `seconds` from it, traced or not).
+// so exporters can rebuild the tree. A trace belongs to whoever creates it:
+// run_synthesis makes one per run (when obs::enabled()) and hands its spans
+// to the run's report, so nothing outlives the run. Spans go to the calling
+// thread's sink, installed with a TraceScope; with no sink installed,
+// ScopedSpan records nothing and costs a thread-local read plus a clock read
+// — the clock read is kept because ScopedSpan::seconds() doubles as the
+// pipeline's only timing primitive (ImodecStats/FlowStats derive their
+// `seconds` from it, traced or not). Each thread's innermost open span is
+// thread-local, so threads nest independently; appends go through the
+// trace's mutex, so pool workers can record into the same trace.
 //
-// Exporters: indented text, a nested JSON tree, and the Chrome trace-event
-// format (load the file at chrome://tracing or https://ui.perfetto.dev).
+// Exporters: a nested JSON tree, an aggregated rollup (JSON and text), and
+// the Chrome trace-event format (load the file at chrome://tracing or
+// https://ui.perfetto.dev).
 
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/json.hpp"
 
 namespace imodec::obs {
-
-bool enabled();  // defined with the registry in obs/metrics.hpp
 
 struct Span {
   std::string name;
@@ -37,58 +38,62 @@ struct Span {
 class Trace {
  public:
   Trace();
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
 
-  /// The process-wide trace all pipeline instrumentation records into.
-  static Trace& global();
-
-  /// Open a span under the calling thread's current span. Returns its index,
-  /// or -1 when obs::enabled() is false (end(-1) is a no-op).
-  int begin(std::string name);
-  void end(int id);
-
-  /// Innermost open span of the calling thread (-1 when none). The parallel
-  /// runtime captures this before fanning out so worker spans can be
-  /// re-parented under the submitting thread's span.
-  int current() const;
-
-  /// Install `span_id` as the calling thread's base parent: spans this
-  /// thread opens while its own stack is empty nest under `span_id` instead
-  /// of becoming roots. Returns the previous base (-1 when none) so scopes
-  /// can nest; pass it back to restore. This is how spans recorded on pool
-  /// workers merge into one coherent tree (DESIGN.md §9).
-  int adopt_parent(int span_id);
-
-  std::size_t size() const;
-  /// Copy of all spans so far (open spans have dur == -1).
-  std::vector<Span> snapshot() const;
-  /// Spans recorded at index >= base, re-rooted: parents below `base` become
-  /// -1 and surviving parent indices are shifted by -base. Lets callers
-  /// capture just "the spans of this run" out of the global trace.
-  std::vector<Span> snapshot_since(std::size_t base) const;
-  /// Drop all spans and reset the epoch. Open-span stacks are cleared; any
-  /// live ScopedSpan from before the clear ends harmlessly.
-  void clear();
+  /// Move out every span recorded so far, leaving the trace empty. A span
+  /// still open when taken keeps dur == -1; run_synthesis takes only after
+  /// its root span has closed.
+  std::vector<Span> take();
 
  private:
-  mutable std::mutex mu_;
-  std::chrono::steady_clock::time_point epoch_;
+  friend class ScopedSpan;
+  int begin(const char* name, int parent,
+            std::chrono::steady_clock::time_point now);
+  void end(int id);
+
+  std::mutex mu_;
+  const std::chrono::steady_clock::time_point epoch_;
   std::vector<Span> spans_;
-  std::unordered_map<std::uint64_t, std::vector<int>> open_;  // per thread
-  std::unordered_map<std::uint64_t, int> adopted_;            // per thread
 };
 
-/// RAII span in Trace::global(); also a stopwatch (see header comment).
+/// Where the calling thread's spans go: the sink (nullptr = record nothing)
+/// and the open span new spans nest under (-1 = they become roots).
+struct TraceContext {
+  Trace* trace = nullptr;
+  int parent = -1;
+
+  /// The calling thread's context: its sink and innermost open span. Pool
+  /// fan-outs capture it before parallel_for and reinstall it in each task,
+  /// so worker spans nest under the submitting thread's span (DESIGN.md §9).
+  static TraceContext current();
+};
+
+/// RAII: install `ctx` as the calling thread's context; the previous one
+/// comes back on destruction, so scopes nest.
+class TraceScope {
+ public:
+  explicit TraceScope(TraceContext ctx);
+  ~TraceScope();
+
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  TraceContext prev_;
+};
+
+/// RAII span in the calling thread's sink; also a stopwatch (see header
+/// comment).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name)
-      : start_(std::chrono::steady_clock::now()),
-        id_(Trace::global().begin(name)) {}
-  ~ScopedSpan() { Trace::global().end(id_); }
+  explicit ScopedSpan(const char* name);
+  ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Seconds since construction; valid whether or not tracing is enabled.
+  /// Seconds since construction; valid whether or not a sink is installed.
   double seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
@@ -97,47 +102,23 @@ class ScopedSpan {
 
  private:
   std::chrono::steady_clock::time_point start_;
-  int id_;
+  Trace* trace_;    // the sink this span records into (nullptr = none)
+  int id_ = -1;
+  int parent_ = -1;  // the thread's innermost open span before this one
 };
 
-/// RAII adoption scope for pool tasks: while alive, spans the current thread
-/// opens at stack depth 0 become children of `parent`. No-op when tracing is
-/// disabled or parent < 0. Restores the previous adoption on destruction, so
-/// nested parallel sections compose.
-class AdoptParentScope {
- public:
-  explicit AdoptParentScope(int parent) {
-    if (enabled() && parent >= 0) {
-      prev_ = Trace::global().adopt_parent(parent);
-      active_ = true;
-    }
-  }
-  ~AdoptParentScope() {
-    if (active_) Trace::global().adopt_parent(prev_);
-  }
-
-  AdoptParentScope(const AdoptParentScope&) = delete;
-  AdoptParentScope& operator=(const AdoptParentScope&) = delete;
-
- private:
-  int prev_ = -1;
-  bool active_ = false;
-};
-
-/// Indented tree, one line per span: name and milliseconds.
-std::string trace_text(const std::vector<Span>& spans);
-
-/// Aggregated tree: same-named siblings merge into one line with their total
-/// duration and an invocation count ("engine.lmax  12.3 ms  x41"). The right
-/// view for reports where a phase repeats per work item.
+/// Aggregated tree as text, one line per node of trace_rollup_json(): name,
+/// total and self milliseconds (self = total minus the children's totals),
+/// and the call count when above one ("engine.lmax  12.3 ms  self 2.1 ms
+/// x41"). The right view for reports where a phase repeats per work item.
 std::string trace_summary(const std::vector<Span>& spans);
 
 /// Nested tree: [{"name":..,"start_s":..,"dur_s":..,"children":[...]}, ...]
 Json trace_json(const std::vector<Span>& spans);
 
-/// Aggregated tree for run reports, the JSON twin of trace_summary():
-/// same-named siblings merge into one node with summed duration and a call
-/// count: [{"name":..,"total_ms":..,"calls":..,"children":[...]}, ...]
+/// Aggregated tree for run reports: same-named siblings merge into one node
+/// with summed duration and a call count:
+/// [{"name":..,"total_ms":..,"calls":..,"children":[...]}, ...]
 Json trace_rollup_json(const std::vector<Span>& spans);
 
 /// Chrome trace-event JSON: {"traceEvents":[{"ph":"X",...}, ...]}. Times are

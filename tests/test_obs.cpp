@@ -11,27 +11,28 @@
 #include "circuits/registry.hpp"
 #include "imodec/engine.hpp"
 #include "logic/truthtable.hpp"
+#include "map/driver.hpp"
 #include "map/lutflow.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace imodec::obs {
 namespace {
 
-/// Every test runs against the process-global trace/registry/flag; isolate
-/// them: start clean, restore the flag afterwards.
+/// Every test runs against the process-global registry/flag; isolate them:
+/// start clean, restore the flag afterwards. Span tests record into a local
+/// Trace of their own.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     was_enabled_ = enabled();
     set_enabled(false);
-    Trace::global().clear();
     Registry::instance().reset();
   }
   void TearDown() override {
-    Trace::global().clear();
     Registry::instance().reset();
     set_enabled(was_enabled_);
   }
@@ -67,8 +68,9 @@ VarPartition worked_example_vp() {
 // Span recording
 
 TEST_F(ObsTest, SpanNestingFormsATree) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan a("outer");
     {
       ScopedSpan b("inner1");
@@ -78,7 +80,7 @@ TEST_F(ObsTest, SpanNestingFormsATree) {
       { ScopedSpan d("leaf"); }
     }
   }
-  const auto spans = Trace::global().snapshot();
+  const auto spans = trace.take();
   ASSERT_EQ(spans.size(), 4u);
   EXPECT_EQ(spans[0].name, "outer");
   EXPECT_EQ(spans[0].parent, -1);
@@ -88,15 +90,17 @@ TEST_F(ObsTest, SpanNestingFormsATree) {
   EXPECT_EQ(spans[2].parent, 0);
   EXPECT_EQ(spans[3].name, "leaf");
   EXPECT_EQ(spans[3].parent, 2);
+  EXPECT_TRUE(trace.take().empty());  // take() empties the trace
 }
 
 TEST_F(ObsTest, DurationsAreClosedAndMonotonic) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan a("parent");
     { ScopedSpan b("child"); }
   }
-  const auto spans = Trace::global().snapshot();
+  const auto spans = trace.take();
   ASSERT_EQ(spans.size(), 2u);
   // All closed, non-negative, and a parent covers its child.
   for (const auto& s : spans) EXPECT_GE(s.dur, 0.0) << s.name;
@@ -105,43 +109,33 @@ TEST_F(ObsTest, DurationsAreClosedAndMonotonic) {
 }
 
 TEST_F(ObsTest, ScopedSpanIsAStopwatchEvenWhenDisabled) {
-  ASSERT_FALSE(enabled());
-  ScopedSpan s("untraced");
-  EXPECT_GE(s.seconds(), 0.0);
-  EXPECT_EQ(Trace::global().size(), 0u);
-}
-
-TEST_F(ObsTest, SnapshotSinceRerootsParents) {
-  set_enabled(true);
+  EXPECT_EQ(TraceContext::current().trace, nullptr);  // no sink by default
+  Trace trace;
+  const TraceScope outer({&trace});
   {
-    ScopedSpan a("before");
+    // No sink — what a run with observability off installs.
+    const TraceScope none({});
+    ScopedSpan s("untraced");
+    EXPECT_GE(s.seconds(), 0.0);
   }
-  const std::size_t base = Trace::global().size();
-  {
-    ScopedSpan b("run");
-    { ScopedSpan c("phase"); }
-  }
-  const auto spans = Trace::global().snapshot_since(base);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "run");
-  EXPECT_EQ(spans[0].parent, -1);
-  EXPECT_EQ(spans[1].name, "phase");
-  EXPECT_EQ(spans[1].parent, 0);
+  EXPECT_TRUE(trace.take().empty());
 }
 
 TEST_F(ObsTest, ThreadsTraceIndependentStacks) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan root("main-root");
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t)
-      workers.emplace_back([] {
+      workers.emplace_back([&trace] {
+        const TraceScope worker_scope({&trace});
         ScopedSpan outer("worker");
         ScopedSpan inner("worker-child");
       });
     for (auto& w : workers) w.join();
   }
-  const auto spans = Trace::global().snapshot();
+  const auto spans = trace.take();
   ASSERT_EQ(spans.size(), 9u);  // 1 root + 4 * (outer + inner)
   std::set<std::uint64_t> tids;
   int workers = 0;
@@ -163,6 +157,36 @@ TEST_F(ObsTest, ThreadsTraceIndependentStacks) {
   }
   EXPECT_EQ(workers, 4);
   EXPECT_EQ(tids.size(), 4u);
+}
+
+TEST_F(ObsTest, PoolTasksNestUnderTheSubmittingSpan) {
+  // The flow's fan-outs reinstall the submitting thread's context in every
+  // pool task, so a pooled flow records the same spans as a serial one, all
+  // under one root. 5xp1 batches several groups per round.
+  const auto flat = collapse_network(*circuits::make_benchmark("5xp1"));
+  ASSERT_TRUE(flat.has_value());
+  const auto span_names = [&](util::ThreadPool* pool) {
+    FlowOptions opts;
+    opts.pool = pool;
+    Trace trace;
+    {
+      const TraceScope scope({&trace});
+      decompose_to_luts(*flat, opts);
+    }
+    const auto spans = trace.take();
+    std::multiset<std::string> names;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_GE(spans[i].dur, 0.0) << spans[i].name;
+      EXPECT_EQ(spans[i].parent < 0, i == 0) << spans[i].name;
+      names.insert(spans[i].name);
+    }
+    return names;
+  };
+  util::ThreadPool pool(4);
+  const std::multiset<std::string> pooled = span_names(&pool);
+  EXPECT_EQ(pooled, span_names(nullptr));
+  EXPECT_GT(pooled.count("engine.decompose"), 2u);
+  EXPECT_EQ(TraceContext::current().trace, nullptr);  // scope restored
 }
 
 // ---------------------------------------------------------------------------
@@ -212,8 +236,13 @@ TEST_F(ObsTest, EngineRunAggregatesIntoRegistry) {
   set_enabled(true);
   const auto fs = worked_example();
   ImodecStats stats;
-  const auto dec = decompose_multi_output(fs, worked_example_vp(), {}, &stats);
-  ASSERT_TRUE(dec.has_value());
+  Trace trace;
+  {
+    const TraceScope scope({&trace});
+    const auto dec =
+        decompose_multi_output(fs, worked_example_vp(), {}, &stats);
+    ASSERT_TRUE(dec.has_value());
+  }
 
   auto& reg = Registry::instance();
   EXPECT_EQ(reg.counter("engine.runs").value(), 1u);
@@ -230,7 +259,7 @@ TEST_F(ObsTest, EngineRunAggregatesIntoRegistry) {
   EXPECT_GT(stats.seconds, 0.0);
 
   // The run left a span tree: engine.decompose with the phase children.
-  const auto spans = Trace::global().snapshot();
+  const auto spans = trace.take();
   ASSERT_FALSE(spans.empty());
   EXPECT_EQ(spans[0].name, "engine.decompose");
   std::set<std::string> children;
@@ -242,11 +271,13 @@ TEST_F(ObsTest, EngineRunAggregatesIntoRegistry) {
 
   // In a flow run on a multi-output circuit, grouping's trial
   // decompositions and own-cost baselines are named spans in flow.select.
-  Trace::global().clear();
   const auto flat = collapse_network(*circuits::make_benchmark("rd84"));
   ASSERT_TRUE(flat.has_value());
-  decompose_to_luts(*flat, FlowOptions{});
-  const auto flow_spans = Trace::global().snapshot();
+  {
+    const TraceScope scope({&trace});
+    decompose_to_luts(*flat, FlowOptions{});
+  }
+  const auto flow_spans = trace.take();
   std::set<std::string> in_select;
   for (const auto& s : flow_spans)
     if (s.parent >= 0 && flow_spans[s.parent].name == "flow.select")
@@ -264,9 +295,22 @@ TEST_F(ObsTest, DisabledModeHasZeroSideEffects) {
   // Stats still work (they are plain struct fields) ...
   EXPECT_GT(stats.lmax_rounds, 0u);
   EXPECT_GT(stats.seconds, 0.0);
-  // ... but nothing leaked into the global trace or registry.
-  EXPECT_EQ(Trace::global().size(), 0u);
+  // ... but nothing leaked into the registry ...
   expect_all_metrics_zero();
+
+  // ... and a run records no spans, not even into a caller's sink.
+  Trace outer;
+  {
+    const TraceScope scope({&outer});
+    SynthesisConfig cfg;
+    cfg.threads = 1;
+    Network mapped;
+    const DriverReport rep =
+        run_synthesis(*circuits::make_benchmark("rd53"), cfg, mapped);
+    EXPECT_TRUE(rep.spans.empty());
+    EXPECT_EQ(TraceContext::current().trace, &outer);  // scope restored
+  }
+  EXPECT_TRUE(outer.take().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -325,12 +369,13 @@ TEST(ObsJson, ObjectKeepsInsertionOrder) {
 // Exporters
 
 TEST_F(ObsTest, TraceJsonRoundTrips) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan a("root");
     { ScopedSpan b("child"); }
   }
-  const Json tree = trace_json(Trace::global().snapshot());
+  const Json tree = trace_json(trace.take());
   const auto parsed = Json::parse(tree.dump(2));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_array());
@@ -346,12 +391,13 @@ TEST_F(ObsTest, TraceJsonRoundTrips) {
 }
 
 TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan a("root");
     { ScopedSpan b("child"); }
   }
-  const Json doc = trace_chrome_json(Trace::global().snapshot());
+  const Json doc = trace_chrome_json(trace.take());
   const auto parsed = Json::parse(doc.dump());
   ASSERT_TRUE(parsed.has_value());
   const Json* events = parsed->find("traceEvents");
@@ -369,20 +415,20 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
 }
 
 TEST_F(ObsTest, TextExportersContainSpanNames) {
-  set_enabled(true);
+  Trace trace;
   {
+    const TraceScope scope({&trace});
     ScopedSpan a("alpha");
     { ScopedSpan b("beta"); }
     { ScopedSpan c("beta"); }
   }
-  const auto spans = Trace::global().snapshot();
-  const std::string text = trace_text(spans);
-  EXPECT_NE(text.find("alpha"), std::string::npos);
-  EXPECT_NE(text.find("beta"), std::string::npos);
-  const std::string summary = trace_summary(spans);
+  const std::string summary = trace_summary(trace.take());
+  EXPECT_NE(summary.find("alpha"), std::string::npos);
   // The two same-named siblings merge into one aggregated line.
   EXPECT_NE(summary.find("x2"), std::string::npos);
   EXPECT_EQ(summary.find("beta"), summary.rfind("beta"));
+  // Every line carries its self time.
+  EXPECT_NE(summary.find("self"), summary.rfind("self"));
 }
 
 TEST_F(ObsTest, RegistryJsonExport) {

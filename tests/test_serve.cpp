@@ -33,6 +33,7 @@
 #include "map/session.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/signals.hpp"
 
@@ -386,6 +387,69 @@ TEST(ServeTest, PerRequestConfigOverridesApply) {
       R"({"schema_version":1,"id":"o2","circuit":{"name":"rd73"},)"
       R"("config":{"node_budget":2000,"on_exhaustion":"degrade"}})");
   EXPECT_EQ(code_of(degraded), "ok");
+}
+
+// --- Run-owned trace (DESIGN.md §14.2) ---------------------------------------
+
+/// Why a response's phase tree is not the one-root tree of its own run
+/// (`driver.run_synthesis`, called once); empty when it is.
+std::string phases_fault(const obs::Json& resp) {
+  if (code_of(resp) != "ok") return "code " + code_of(resp);
+  const obs::Json* report = resp.find("report");
+  const obs::Json* phases = report ? report->find("phases") : nullptr;
+  if (!phases || !phases->is_array()) return "no phases";
+  if (phases->size() != 1)
+    return std::to_string(phases->size()) + " phase roots";
+  const obs::Json& root = phases->items()[0];
+  if (root.find("name")->as_string() != "driver.run_synthesis")
+    return "root " + root.find("name")->as_string();
+  if (root.find("calls")->as_number() != 1.0)
+    return "root calls " + root.find("calls")->dump(-1);
+  return "";
+}
+
+std::string name_request(const std::string& id, const std::string& name) {
+  return R"({"schema_version":2,"id":")" + id + R"(","circuit":{"name":")" +
+         name + R"("}})";
+}
+
+TEST(ServeTest, ConcurrentEnginesReportOnlyTheirOwnPhases) {
+  // Two workers' engines serving at once: each response's phases hold its
+  // own run and no span of the other engine's runs.
+  const std::vector<std::string> names = {"rd53", "rd73", "z4ml", "misex1",
+                                          "rd84"};
+  constexpr int kPerEngine = 40;
+  std::vector<std::vector<std::string>> faults(2);
+  std::vector<std::thread> workers;
+  for (int e = 0; e < 2; ++e)
+    workers.emplace_back([&, e] {
+      serve::Engine engine(serving_config());
+      for (int i = 0; i < kPerEngine; ++i) {
+        const std::string& name = names[(i + e) % names.size()];
+        const std::string fault = phases_fault(engine.handle_line(
+            name_request("e" + std::to_string(e) + "-" + std::to_string(i),
+                         name)));
+        if (!fault.empty()) faults[e].push_back(name + ": " + fault);
+      }
+    });
+  for (std::thread& w : workers) w.join();
+  for (int e = 0; e < 2; ++e)
+    EXPECT_EQ(faults[e].size(), 0u)
+        << "engine " << e << ", first: "
+        << (faults[e].empty() ? "" : faults[e].front());
+}
+
+TEST(ServeTest, RequestBoundaryLeavesNoTraceSink) {
+  // A run's spans live in a trace the run owns: once the response is built,
+  // the serving thread holds no sink, so nothing accumulates across
+  // requests.
+  serve::Engine engine(serving_config());
+  for (int i = 0; i < 400; ++i) {
+    const obs::Json resp =
+        engine.handle_line(name_request("s" + std::to_string(i), "rd84"));
+    ASSERT_EQ(phases_fault(resp), "") << "request " << i;
+    ASSERT_EQ(obs::TraceContext::current().trace, nullptr) << "request " << i;
+  }
 }
 
 // --- Deadline propagation (DESIGN.md §15) -----------------------------------

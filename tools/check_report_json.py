@@ -11,7 +11,8 @@ Schema (version 2), top level:
     "config": { ... },             # required, config echo (typed spot checks)
     "result": { ... },             # required, run outcome
     "degrade": { ... },            # required, degradation record
-    "phases": [ ... ],             # required, span rollup tree
+    "phases": [ ... ],             # required, span rollup tree with one
+                                   #   root: driver.run_synthesis, calls 1
     "counters": { name: n, ... },  # required, non-negative numbers
     "gauges": { name: {"value","max"}, ... },
     "histograms": { name: {"count","sum","max","p50","p90","p99"}, ... },
@@ -64,6 +65,15 @@ def check_phases(nodes, where):
         need(node, "total_ms", NUMBER, w, nonneg=True)
         need(node, "calls", NUMBER, w, nonneg=True)
         check_phases(need(node, "children", list, w), f"{w}.children")
+
+
+def check_one_run(phases, where):
+    """A report's phases hold its own run and nothing else: one root,
+    `driver.run_synthesis`, entered once."""
+    roots = [(n.get("name"), n.get("calls")) for n in phases]
+    if roots != [("driver.run_synthesis", 1)]:
+        raise Fail(f"{where}: roots {roots}, expected one "
+                   "driver.run_synthesis with calls == 1")
 
 
 def check_histogram_summary(name, s):
@@ -164,7 +174,9 @@ def check_report(doc, require_hists):
     if not isinstance(degrade.get("events"), list):
         raise Fail("degrade: missing or non-array 'events'")
 
-    check_phases(need(doc, "phases", list, "top level"), "phases")
+    phases = need(doc, "phases", list, "top level")
+    check_phases(phases, "phases")
+    check_one_run(phases, "phases")
 
     counters = need(doc, "counters", dict, "top level")
     for name, value in counters.items():

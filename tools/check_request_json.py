@@ -53,7 +53,8 @@ Response (version 2 stamped on every response; v1 transcripts still pass):
   }
 
 Response "report" contents are spot-checked (full validation is
-check_report_json.py's job); extra response keys are allowed (the daemon may
+check_report_json.py's job), including the one-run rule: "phases" has exactly
+one root, driver.run_synthesis with calls == 1; extra response keys are allowed (the daemon may
 add fields compatibly).
 
 Supervisor/crash records (imodec_served stderr, one JSON line each):
@@ -237,6 +238,13 @@ def check_response(doc):
             raise Fail("response.report: not an imodec_run document")
         need(report, "circuit", str, "response.report")
         need(report, "result", dict, "response.report")
+        # One run per report: a foreign run's spans must never leak in.
+        phases = need(report, "phases", list, "response.report")
+        roots = [(n.get("name"), n.get("calls")) if isinstance(n, dict)
+                 else n for n in phases]
+        if roots != [("driver.run_synthesis", 1)]:
+            raise Fail(f"response.report.phases: roots {roots}, expected "
+                       "one driver.run_synthesis with calls == 1")
     return "response"
 
 

@@ -251,6 +251,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "imodec: decomposition failed: %s\n", e.what());
     return kExitDecompose;
   }
+  // The trace files export the run's own spans.
+  const std::vector<obs::Span> spans = rep.spans;
   if (!stats) {
     // Tracing without --stats: keep the report compact.
     rep.spans.clear();
@@ -264,7 +266,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", cfg.report_path.c_str());
 
   if (observe) {
-    const std::vector<obs::Span> spans = obs::Trace::global().snapshot();
     bool write_failed = false;
     if (!trace_json_path.empty()) {
       obs::Json doc = obs::Json::object();
