@@ -135,44 +135,6 @@ void BM_BddOpIte(benchmark::State& state) {
 }
 BENCHMARK(BM_BddOpIte)->Arg(12)->Arg(18)->Arg(24);
 
-void BM_BddOpExists(benchmark::State& state) {
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  std::vector<std::vector<unsigned>> var_sets(3);
-  for (unsigned v = 0; v < n; ++v) {
-    if (v % 2 == 0) var_sets[0].push_back(v);
-    if (v % 2 == 1) var_sets[1].push_back(v);
-    if (v < n / 2) var_sets[2].push_back(v);
-  }
-  std::int64_t ops = 0;
-  for (auto _ : state) {
-    Manager mgr(n);
-    const std::vector<Bdd> fs = random_bdds(mgr, n, 0xB00D + n);
-    for (const Bdd& f : fs)
-      for (const auto& vars : var_sets) {
-        benchmark::DoNotOptimize(f.exists(vars).node());
-        ++ops;
-      }
-  }
-  state.SetItemsProcessed(ops);
-}
-BENCHMARK(BM_BddOpExists)->Arg(12)->Arg(18)->Arg(24);
-
-void BM_BddOpCompose(benchmark::State& state) {
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  std::int64_t ops = 0;
-  for (auto _ : state) {
-    Manager mgr(n);
-    const std::vector<Bdd> fs = random_bdds(mgr, n, 0xB00E + n);
-    for (unsigned i = 0; i < kBddOpFuncs; ++i)
-      for (unsigned j = i + 1; j < kBddOpFuncs; ++j) {
-        benchmark::DoNotOptimize(fs[i].compose((i + j) % n, fs[j]).node());
-        ++ops;
-      }
-  }
-  state.SetItemsProcessed(ops);
-}
-BENCHMARK(BM_BddOpCompose)->Arg(12)->Arg(18)->Arg(24);
-
 void BM_SubsetThreshold(benchmark::State& state) {
   const unsigned ell = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {

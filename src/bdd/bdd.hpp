@@ -76,15 +76,6 @@ class Bdd {
   Bdd cofactor(unsigned v, bool value) const {
     return wrap(mgr_->cofactor(node_, v, value));
   }
-  Bdd exists(const std::vector<unsigned>& vars) const {
-    return wrap(mgr_->exists(node_, vars));
-  }
-  Bdd forall(const std::vector<unsigned>& vars) const {
-    return wrap(mgr_->forall(node_, vars));
-  }
-  Bdd compose(unsigned v, const Bdd& g) const {
-    return wrap(mgr_->compose(node_, v, g.node_));
-  }
 
   double sat_count() const { return mgr_->sat_count(node_); }
   std::vector<unsigned> support() const { return mgr_->support(node_); }

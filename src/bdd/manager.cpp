@@ -162,7 +162,6 @@ void Manager::reset(unsigned num_vars) {
   gc_threshold_ = 1u << 14;
   in_governed_ = false;
   ite_depth_ = ite_depth_max_ = 0;
-  quant_depth_ = quant_depth_max_ = 0;
   stats_ = Stats{};
 }
 
@@ -285,16 +284,15 @@ void Manager::cache_resize_for_table() {
 
 // --- Computed table ----------------------------------------------------------
 
-NodeId Manager::cached(Op op, NodeId a, NodeId b, NodeId c, std::uint64_t tag) {
+NodeId Manager::cached(Op op, NodeId a, NodeId b, NodeId c) {
   ++stats_.cache_lookups;
   ++stats_.op_lookups[static_cast<std::uint32_t>(op) - 1];
   const std::uint64_t h =
       mix64((static_cast<std::uint64_t>(a) << 32 | b) * 0x9e3779b97f4a7c15ull ^
             (static_cast<std::uint64_t>(c) |
-             static_cast<std::uint64_t>(op) << 56) ^
-            tag);
+             static_cast<std::uint64_t>(op) << 56));
   const CacheEntry& e = cache_[h & (cache_.size() - 1)];
-  if (e.op == op && e.a == a && e.b == b && e.c == c && e.tag == tag) {
+  if (e.op == op && e.a == a && e.b == b && e.c == c) {
     ++stats_.cache_hits;
     ++stats_.op_hits[static_cast<std::uint32_t>(op) - 1];
     return e.result;
@@ -302,14 +300,12 @@ NodeId Manager::cached(Op op, NodeId a, NodeId b, NodeId c, std::uint64_t tag) {
   return kNotFound;
 }
 
-void Manager::cache_insert(Op op, NodeId a, NodeId b, NodeId c,
-                           std::uint64_t tag, NodeId r) {
+void Manager::cache_insert(Op op, NodeId a, NodeId b, NodeId c, NodeId r) {
   const std::uint64_t h =
       mix64((static_cast<std::uint64_t>(a) << 32 | b) * 0x9e3779b97f4a7c15ull ^
             (static_cast<std::uint64_t>(c) |
-             static_cast<std::uint64_t>(op) << 56) ^
-            tag);
-  cache_[h & (cache_.size() - 1)] = CacheEntry{a, b, c, op, tag, r};
+             static_cast<std::uint64_t>(op) << 56));
+  cache_[h & (cache_.size() - 1)] = CacheEntry{a, b, c, op, r};
 }
 
 // --- Garbage collection ------------------------------------------------------
@@ -455,7 +451,7 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
     comp = 1u;
   }
 
-  NodeId r = cached(Op::Ite, f, g, h, 0);
+  NodeId r = cached(Op::Ite, f, g, h);
   if (r != kNotFound) return r ^ comp;
 
   // Split on the top variable of the triple (terminals carry kTerminalVar,
@@ -478,7 +474,7 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   const NodeId t = ite_rec(f1, g1, h1);
   const NodeId e = ite_rec(f0, g0, h0);
   r = make_node(v, e, t);
-  cache_insert(Op::Ite, f, g, h, 0, r);
+  cache_insert(Op::Ite, f, g, h, r);
   return r ^ comp;
 }
 
@@ -536,7 +532,7 @@ NodeId Manager::cube(const std::vector<unsigned>& vars,
   });
 }
 
-// --- Cofactor / quantification / composition ---------------------------------
+// --- Cofactor / composition --------------------------------------------------
 
 NodeId Manager::cofactor_rec(NodeId f, unsigned v, bool value) {
   if (is_terminal(f)) return f;
@@ -550,13 +546,14 @@ NodeId Manager::cofactor_rec(NodeId f, unsigned v, bool value) {
   const NodeId nhi = nodes_[fr >> 1].hi;
   if (nvar > v) return f;
   if (nvar == v) return (value ? nhi : nlo) ^ c;
-  const std::uint64_t tag = (static_cast<std::uint64_t>(v) << 1) | value;
-  NodeId r = cached(Op::Cofactor, fr, 0, 0, tag);
+  // The operand slot b carries the cofactor literal (v, value).
+  const NodeId lit = (static_cast<NodeId>(v) << 1) | value;
+  NodeId r = cached(Op::Cofactor, fr, lit, 0);
   if (r == kNotFound) {
     const NodeId l = cofactor_rec(nlo, v, value);
     const NodeId h = cofactor_rec(nhi, v, value);
     r = make_node(nvar, l, h);
-    cache_insert(Op::Cofactor, fr, 0, 0, tag, r);
+    cache_insert(Op::Cofactor, fr, lit, 0, r);
   }
   return r ^ c;
 }
@@ -565,110 +562,6 @@ NodeId Manager::cofactor(NodeId f, unsigned v, bool value) {
   assert_live(f);
   assert(v < num_vars_);
   return governed({f}, [&] { return cofactor_rec(f, v, value); });
-}
-
-NodeId Manager::quantify_rec(NodeId f, const std::vector<unsigned>& sorted_vars,
-                             unsigned deepest, bool existential,
-                             std::uint64_t tag) {
-  DepthScope depth(&quant_depth_, &quant_depth_max_);
-  if (is_terminal(f)) return f;
-  // Copy var and children out before recursing: the recursion grows the
-  // arena, so references into nodes_ must not survive it.
-  const unsigned nvar = nodes_[f >> 1].var;
-  if (nvar > deepest) return f;  // no quantified var below
-  const Op op = existential ? Op::Exists : Op::Forall;
-  NodeId r = cached(op, f, 0, 0, tag);
-  if (r != kNotFound) return r;
-  const NodeId flo = lo(f);
-  const NodeId fhi = hi(f);
-  const NodeId l = quantify_rec(flo, sorted_vars, deepest, existential, tag);
-  const NodeId h = quantify_rec(fhi, sorted_vars, deepest, existential, tag);
-  if (std::binary_search(sorted_vars.begin(), sorted_vars.end(), nvar)) {
-    r = existential ? ite_rec(l, kTrue, h)    // l OR h
-                    : ite_rec(l, h, kFalse);  // l AND h
-  } else {
-    r = make_node(nvar, l, h);
-  }
-  cache_insert(op, f, 0, 0, tag, r);
-  return r;
-}
-
-NodeId Manager::exists(NodeId f, const std::vector<unsigned>& vars) {
-  assert_live(f);
-  if (is_terminal(f) || vars.empty()) return f;
-  if (live_nodes_ >= gc_threshold_) {
-    ++nodes_[f >> 1].ref;
-    maybe_gc();
-    --nodes_[f >> 1].ref;
-  }
-  std::vector<unsigned> sorted(vars);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const unsigned deepest = sorted.back();
-  // Exact cache key (CUDD-style): the positive cube of the quantified set.
-  // Its NodeId is canonical via the unique table and the computed cache is
-  // flushed on GC, so distinct variable sets can never alias — unlike a
-  // 64-bit hash fold. Built inside the governed frame so a retry rebuilds it
-  // after the recovery collection.
-  const bool measure = obs::enabled();
-  if (measure) quant_depth_max_ = quant_depth_;
-  const NodeId r = governed({f}, [&] {
-    const NodeId tag = cube(sorted, std::vector<bool>(sorted.size(), true));
-    return quantify_rec(f, sorted, deepest, true, tag);
-  });
-  if (measure) {
-    if (!quant_depth_hist_)
-      quant_depth_hist_ =
-          &obs::Registry::instance().histogram("bdd.quantify_depth");
-    quant_depth_hist_->record(quant_depth_max_);
-  }
-  return r;
-}
-
-NodeId Manager::forall(NodeId f, const std::vector<unsigned>& vars) {
-  assert_live(f);
-  if (is_terminal(f) || vars.empty()) return f;
-  if (live_nodes_ >= gc_threshold_) {
-    ++nodes_[f >> 1].ref;
-    maybe_gc();
-    --nodes_[f >> 1].ref;
-  }
-  std::vector<unsigned> sorted(vars);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const unsigned deepest = sorted.back();
-  // Same exact cube key as exists(); the Op enum separates the two caches.
-  const bool measure = obs::enabled();
-  if (measure) quant_depth_max_ = quant_depth_;
-  const NodeId r = governed({f}, [&] {
-    const NodeId tag = cube(sorted, std::vector<bool>(sorted.size(), true));
-    return quantify_rec(f, sorted, deepest, false, tag);
-  });
-  if (measure) {
-    if (!quant_depth_hist_)
-      quant_depth_hist_ =
-          &obs::Registry::instance().histogram("bdd.quantify_depth");
-    quant_depth_hist_->record(quant_depth_max_);
-  }
-  return r;
-}
-
-NodeId Manager::compose(NodeId f, unsigned v, NodeId g) {
-  assert_live(f);
-  assert_live(g);
-  assert(v < num_vars_);
-  if (live_nodes_ >= gc_threshold_) {
-    ++nodes_[f >> 1].ref;
-    ++nodes_[g >> 1].ref;
-    maybe_gc();
-    --nodes_[f >> 1].ref;
-    --nodes_[g >> 1].ref;
-  }
-  return governed({f, g}, [&] {
-    const NodeId f1 = cofactor_rec(f, v, true);
-    const NodeId f0 = cofactor_rec(f, v, false);
-    return ite_rec(g, f1, f0);
-  });
 }
 
 NodeId Manager::vector_compose_rec(NodeId f, const std::vector<NodeId>& map,
@@ -837,8 +730,7 @@ void Manager::foreach_minterm(
 // --- Introspection -----------------------------------------------------------
 
 const char* Manager::op_class_name(unsigned cls) {
-  static const char* const kNames[Stats::kOpClasses] = {"ite", "cofactor",
-                                                        "exists", "forall"};
+  static const char* const kNames[Stats::kOpClasses] = {"ite", "cofactor"};
   return cls < Stats::kOpClasses ? kNames[cls] : "?";
 }
 

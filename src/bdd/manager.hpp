@@ -110,12 +110,6 @@ class Manager {
 
   /// Shannon cofactor of f with variable v fixed to `value`.
   NodeId cofactor(NodeId f, unsigned v, bool value);
-  /// Existential quantification over the set of variables (sorted or not).
-  NodeId exists(NodeId f, const std::vector<unsigned>& vars);
-  /// Universal quantification.
-  NodeId forall(NodeId f, const std::vector<unsigned>& vars);
-  /// Substitute variable v by function g in f.
-  NodeId compose(NodeId f, unsigned v, NodeId g);
   /// Simultaneous substitution; map[v] == kNoReplacement keeps v.
   static constexpr NodeId kNoReplacement = 0xffffffffu;
   NodeId vector_compose(NodeId f, const std::vector<NodeId>& map);
@@ -157,7 +151,7 @@ class Manager {
     std::uint64_t gc_runs = 0;
     // Computed-table probes/hits split by operation class, indexed by
     // static_cast<uint32_t>(Op) - 1; see op_class_name().
-    static constexpr unsigned kOpClasses = 4;
+    static constexpr unsigned kOpClasses = 2;
     std::uint64_t op_lookups[kOpClasses] = {};
     std::uint64_t op_hits[kOpClasses] = {};
     double cache_hit_rate() const {
@@ -171,7 +165,7 @@ class Manager {
                              : 0.0;
     }
   };
-  /// "ite" / "cofactor" / "exists" / "forall" for cls in [0, kOpClasses).
+  /// "ite" / "cofactor" for cls in [0, kOpClasses).
   static const char* op_class_name(unsigned cls);
   const Stats& stats() const { return stats_; }
   /// Fold this manager's stats into the process-wide obs registry under
@@ -210,13 +204,10 @@ class Manager {
     None = 0,  // empty cache slot
     Ite,
     Cofactor,
-    Exists,
-    Forall,
   };
   struct CacheEntry {
     NodeId a = 0, b = 0, c = 0;
     Op op = Op::None;
-    std::uint64_t tag = 0;  // discriminates quantified cubes / cofactor vars
     NodeId result = 0;
   };
 
@@ -240,14 +231,11 @@ class Manager {
   void cache_resize_for_table();
   void maybe_gc();
 
-  NodeId cached(Op op, NodeId a, NodeId b, NodeId c, std::uint64_t tag);
-  void cache_insert(Op op, NodeId a, NodeId b, NodeId c, std::uint64_t tag,
-                    NodeId r);
+  NodeId cached(Op op, NodeId a, NodeId b, NodeId c);
+  void cache_insert(Op op, NodeId a, NodeId b, NodeId c, NodeId r);
 
   NodeId ite_rec(NodeId f, NodeId g, NodeId h);
   NodeId cofactor_rec(NodeId f, unsigned v, bool value);
-  NodeId quantify_rec(NodeId f, const std::vector<unsigned>& sorted_vars,
-                      unsigned deepest, bool existential, std::uint64_t tag);
   NodeId vector_compose_rec(NodeId f, const std::vector<NodeId>& map,
                             std::unordered_map<NodeId, NodeId>& memo);
   double prob_rec(NodeId f, std::unordered_map<NodeId, double>& memo);
@@ -266,21 +254,19 @@ class Manager {
   util::ResourceGuard* guard_ = nullptr;  // not owned
   std::size_t guard_charged_ = 0;  // live nodes reported to guard_ so far
   // True while the outermost governed() frame runs; nested public calls
-  // (var/cube from inside a recursion) must not start their own recovery.
+  // (var from inside vector_compose's recursion) must not start their own
+  // recovery.
   bool in_governed_ = false;
-  // Recursion depth watermarks, maintained unconditionally (two plain
-  // increments per frame); reset and folded into the obs histograms at the
-  // public entry points when observability is on.
+  // ITE recursion depth watermark, maintained unconditionally (two plain
+  // increments per frame); reset and folded into the obs histogram at the
+  // public entry point when observability is on.
   std::uint32_t ite_depth_ = 0;
   std::uint32_t ite_depth_max_ = 0;
-  std::uint32_t quant_depth_ = 0;
-  std::uint32_t quant_depth_max_ = 0;
-  // Cached registry handles (stable for the process lifetime), resolved on
-  // first use: the depth histograms record once per public op, and a name
+  // Cached registry handle (stable for the process lifetime), resolved on
+  // first use: the depth histogram records once per public op, and a name
   // lookup there (mutex + map probe) costs several percent on the BDD-op
   // microbenches.
   obs::Histogram* ite_depth_hist_ = nullptr;
-  obs::Histogram* quant_depth_hist_ = nullptr;
   mutable Stats stats_;
 };
 

@@ -4,9 +4,15 @@
 // the onset of a maximum number of them — a decomposition function preferable
 // for the maximum number of outputs — without enumerating functions.
 //
-// Implementation: each χ_k becomes a 0/1 ADD; their sum is formed by ADD
-// apply(+); a maximum-valued path is extracted. Ties prefer the vertex with
-// the fewest onset classes (smallest decomposition function).
+// Implementation: branch and bound over the tuple of χ cofactors in the
+// caller's manager, creating no nodes: split on the tuple's top variable,
+// 0-branch first; skip a branch whose non-zero members cannot beat the floor
+// (fail-soft); memoize results on the sorted tuple of non-constant NodeIds.
+// A second walk takes the 0-branch whenever it still reaches the maximum, so
+// ties go to the lexicographically smallest maximizer (z_0 first, 0 before
+// 1). The search polls the manager's ResourceGuard, so a deadline or
+// cancellation surfaces as util::Timeout / util::ResourceExhausted from
+// inside the call.
 
 #include <cstdint>
 #include <vector>

@@ -4,12 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
-#include "bdd/dot.hpp"
 #include "logic/truthtable.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace imodec {
 namespace {
@@ -73,23 +71,19 @@ TEST(Bdd, CofactorAndSupport) {
   EXPECT_EQ(f.cofactor(2, false).support(), (std::vector<unsigned>{0, 1}));
 }
 
-TEST(Bdd, Quantification) {
-  Manager mgr(3);
-  const Bdd a = Bdd::var(mgr, 0), b = Bdd::var(mgr, 1), c = Bdd::var(mgr, 2);
-  const Bdd f = (a & b) | (~a & c);
-  EXPECT_EQ(f.exists({0}), b | c);
-  EXPECT_EQ(f.forall({0}), b & c);
-  EXPECT_EQ(f.exists({0, 1, 2}), Bdd::one(mgr));
-  EXPECT_EQ(f.forall({0, 1, 2}), Bdd::zero(mgr));
-}
-
 TEST(Bdd, Compose) {
+  // Single substitution is vector_compose with one map entry.
   Manager mgr(4);
   const Bdd a = Bdd::var(mgr, 0), b = Bdd::var(mgr, 1), c = Bdd::var(mgr, 2),
             d = Bdd::var(mgr, 3);
   const Bdd f = a ^ b;
-  EXPECT_EQ(f.compose(1, c & d), a ^ (c & d));
-  EXPECT_EQ(f.compose(0, Bdd::zero(mgr)), b);
+  const auto compose = [&](unsigned v, const Bdd& g) {
+    std::vector<bdd::NodeId> map(4, Manager::kNoReplacement);
+    map[v] = g.node();
+    return Bdd(&mgr, mgr.vector_compose(f.node(), map));
+  };
+  EXPECT_EQ(compose(1, c & d), a ^ (c & d));
+  EXPECT_EQ(compose(0, Bdd::zero(mgr)), b);
 }
 
 TEST(Bdd, VectorCompose) {
@@ -309,17 +303,6 @@ TEST(Bdd, RepeatedIdenticalOpsRaiseHitRate) {
   EXPECT_GT(rate, 0.0);
 }
 
-TEST(Bdd, DotExport) {
-  Manager mgr(2);
-  const Bdd f = Bdd::var(mgr, 0) & Bdd::var(mgr, 1);
-  std::ostringstream os;
-  bdd::write_dot(os, {f}, {"a", "b"});
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("\"a\""), std::string::npos);
-  EXPECT_NE(dot.find("\"b\""), std::string::npos);
-}
-
 // --- Property tests against the truth-table model --------------------------
 
 class BddRandomOps : public ::testing::TestWithParam<int> {};
@@ -378,6 +361,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomOps, ::testing::Range(0, 8));
 class BddQuantifyProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BddQuantifyProperty, ExistsEqualsOrOfCofactors) {
+  // Quantification by Shannon expansion, checked row by row against the
+  // truth-table model.
   const unsigned n = 5;
   Manager mgr(n);
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
@@ -398,95 +383,94 @@ TEST_P(BddQuantifyProperty, ExistsEqualsOrOfCofactors) {
     f = f | Bdd::cube(mgr, vars, phases);
   }
   const unsigned v = static_cast<unsigned>(rng.below(n));
-  EXPECT_EQ(f.exists({v}), f.cofactor(v, false) | f.cofactor(v, true));
-  EXPECT_EQ(f.forall({v}), f.cofactor(v, false) & f.cofactor(v, true));
+  const std::uint64_t bit = std::uint64_t{1} << v;
+  TruthTable ex(n), fa(n);
+  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
+    ex.set(row, t.get(row & ~bit) || t.get(row | bit));
+    fa.set(row, t.get(row & ~bit) && t.get(row | bit));
+  }
+  EXPECT_EQ(to_table(f.cofactor(v, false) | f.cofactor(v, true), n), ex);
+  EXPECT_EQ(to_table(f.cofactor(v, false) & f.cofactor(v, true), n), fa);
   // Quantifying all variables yields a constant matching satisfiability.
-  std::vector<unsigned> all(n);
-  for (unsigned i = 0; i < n; ++i) all[i] = i;
-  EXPECT_EQ(f.exists(all).is_one(), t.count_ones() > 0);
-  EXPECT_EQ(f.forall(all).is_one(), t.count_ones() == t.num_rows());
+  Bdd any = f, all = f;
+  for (unsigned i = 0; i < n; ++i) {
+    any = any.cofactor(i, false) | any.cofactor(i, true);
+    all = all.cofactor(i, false) & all.cofactor(i, true);
+  }
+  EXPECT_TRUE(any.is_terminal());
+  EXPECT_TRUE(all.is_terminal());
+  EXPECT_EQ(any.is_one(), t.count_ones() > 0);
+  EXPECT_EQ(all.is_one(), t.count_ones() == t.num_rows());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddQuantifyProperty, ::testing::Range(0, 10));
 
-TEST(Bdd, QuantifyAndCofactorSurviveArenaGrowth) {
-  // Regression: cofactor_rec/quantify_rec once held a Node& across recursive
-  // calls, but make_node can reallocate the arena mid-recursion and the
-  // reference dangled. Operations big enough to force several reallocations
-  // pin semantics on random points (sanitizer builds catch the dangle
-  // directly).
+TEST(Bdd, CofactorAndComposeSurviveArenaGrowth) {
+  // Regression: cofactor_rec once held a Node& across recursive calls, but
+  // make_node can reallocate the arena mid-recursion and the reference
+  // dangled. Operations big enough to force several reallocations pin
+  // semantics on random points (sanitizer builds catch the dangle directly).
   const unsigned n = 16;
   Manager mgr(n);
   Rng rng(0xA11A);
-  Bdd f = Bdd::zero(mgr);
-  for (int c = 0; c < 48; ++c) {
-    Bdd cube = Bdd::one(mgr);
-    for (unsigned v = 0; v < n; ++v)
-      if (rng.chance(1, 3)) cube = cube & Bdd::literal(mgr, v, rng.coin());
-    f = f ^ cube;
-  }
+  const auto random_xor_of_cubes = [&](int cubes) {
+    Bdd f = Bdd::zero(mgr);
+    for (int c = 0; c < cubes; ++c) {
+      Bdd cube = Bdd::one(mgr);
+      for (unsigned v = 0; v < n; ++v)
+        if (rng.chance(1, 3)) cube = cube & Bdd::literal(mgr, v, rng.coin());
+      f = f ^ cube;
+    }
+    return f;
+  };
+  const Bdd f = random_xor_of_cubes(48);
   std::vector<std::vector<bool>> points;
   for (int p = 0; p < 32; ++p) {
     std::vector<bool> a(n);
     for (unsigned v = 0; v < n; ++v) a[v] = rng.coin();
     points.push_back(std::move(a));
   }
-  const std::vector<unsigned> qs = {2, 7, 11};
-  const Bdd ex = f.exists(qs);
-  const Bdd fa = f.forall(qs);
   const Bdd c0 = f.cofactor(5, false);
   const Bdd c1 = f.cofactor(5, true);
   for (auto a : points) {
-    bool any = false, all = true;
-    for (unsigned m = 0; m < 8; ++m) {
-      for (std::size_t k = 0; k < qs.size(); ++k) a[qs[k]] = (m >> k) & 1;
-      const bool val = f.eval(a);
-      any = any || val;
-      all = all && val;
-    }
-    EXPECT_EQ(ex.eval(a), any);
-    EXPECT_EQ(fa.eval(a), all);
     a[5] = false;
     EXPECT_EQ(c0.eval(a), f.eval(a));
     a[5] = true;
     EXPECT_EQ(c1.eval(a), f.eval(a));
   }
-  // Duplicates in the quantified set collapse to the same exact cache key.
-  EXPECT_EQ(f.exists({2, 2, 7, 7, 11}), ex);
-  EXPECT_EQ(f.forall({11, 7, 2, 7, 11}), fa);
 
-  // Grind quantifications over fresh variable sets, keeping every result
-  // live, until the cumulative allocation count has doubled: with nothing
-  // dying, fresh nodes land on push_back, so the arena must cross a capacity
-  // boundary — i.e. reallocate — inside the quantification recursion.
+  // Grind substitutions (vector_compose, which recurses through ite) with
+  // fresh maps, keeping every result live, until the cumulative allocation
+  // count has doubled: with nothing dying, fresh nodes land on push_back, so
+  // the arena must cross a capacity boundary — i.e. reallocate — inside the
+  // recursion.
+  std::vector<Bdd> subs;
+  for (int i = 0; i < 8; ++i) subs.push_back(random_xor_of_cubes(3));
   const std::uint64_t start_alloc = mgr.stats().nodes_allocated;
   std::vector<Bdd> keep;
-  std::vector<std::vector<unsigned>> sets;
+  std::vector<std::vector<int>> maps;  // per variable: index into subs or -1
   for (int round = 0;
        mgr.stats().nodes_allocated < 2 * start_alloc && round < 400; ++round) {
-    std::vector<unsigned> set;
+    std::vector<int> pick(n, -1);
+    std::vector<bdd::NodeId> map(n, Manager::kNoReplacement);
     for (unsigned v = 0; v < n; ++v)
-      if (rng.chance(1, 3)) set.push_back(v);
-    if (set.empty()) set.push_back(static_cast<unsigned>(round) % n);
-    keep.push_back((round & 1) ? f.exists(set) : f.forall(set));
-    sets.push_back(std::move(set));
+      if (rng.chance(1, 4)) {
+        pick[v] = static_cast<int>(rng.below(subs.size()));
+        map[v] = subs[pick[v]].node();
+      }
+    keep.emplace_back(&mgr, mgr.vector_compose(f.node(), map));
+    maps.push_back(std::move(pick));
   }
   EXPECT_GE(mgr.stats().nodes_allocated, 2 * start_alloc)
       << "grind too small to force an arena reallocation";
-  // Spot-check a few ground results against per-point expansion.
+  // Spot-check a few ground results against per-point substitution.
   for (std::size_t i = 0; i < keep.size(); i += keep.size() / 8 + 1) {
-    const auto& set = sets[i];
     for (std::size_t p = 0; p < points.size(); p += 7) {
-      auto a = points[p];
-      bool any = false, all = true;
-      for (std::uint64_t m = 0; m < (std::uint64_t{1} << set.size()); ++m) {
-        for (std::size_t k = 0; k < set.size(); ++k) a[set[k]] = (m >> k) & 1;
-        const bool val = f.eval(a);
-        any = any || val;
-        all = all && val;
-      }
-      EXPECT_EQ(keep[i].eval(a), (i & 1) ? any : all)
-          << "set " << i << " point " << p;
+      const auto& a = points[p];
+      auto b = a;
+      for (unsigned v = 0; v < n; ++v)
+        if (maps[i][v] >= 0) b[v] = subs[maps[i][v]].eval(a);
+      EXPECT_EQ(keep[i].eval(a), f.eval(b)) << "map " << i << " point " << p;
     }
   }
   EXPECT_TRUE(mgr.check_invariants());

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bdd/add.hpp"
 #include "decomp/classes.hpp"
 #include "decomp/single.hpp"
 #include "imodec/chi.hpp"
