@@ -157,6 +157,9 @@ void ablation_classical() {
     SynthesisConfig b;
     b.classical = true;
     const DriverReport rb = run_synthesis(*net, b, mapped, res);
+    // Each run owns its metrics; the --report-dir dump is the process total.
+    for (const DriverReport* r : {&ra, &rb})
+      if (r->metrics) obs::Registry::instance().merge(*r->metrics);
     std::printf("%-8s %10u %12u%s\n", name.c_str(), ra.clbs.clbs,
                 rb.clbs.clbs,
                 (ra.verified && rb.verified) ? "" : "  VERIFY-FAIL");

@@ -319,9 +319,9 @@ void Manager::maybe_gc() {
 
 void Manager::garbage_collect() {
   ++stats_.gc_runs;
-  // Pause measurement rides on either switch: the histogram needs obs, the
-  // flight recorder is force-enabled for governed runs even when obs is off.
-  const bool measure = obs::enabled() || obs::flight_enabled();
+  // Pause measurement rides on either sink: the histogram needs obs, and
+  // governed runs keep a flight ring even when obs is off.
+  const bool measure = obs::enabled() || obs::FlightRecorder::current();
   std::chrono::steady_clock::time_point gc_start;
   if (measure) gc_start = std::chrono::steady_clock::now();
   const std::size_t nodes_before = live_nodes_;
@@ -362,8 +362,7 @@ void Manager::garbage_collect() {
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - gc_start)
             .count());
-    if (obs::enabled())
-      obs::Registry::instance().histogram("bdd.gc_pause_us").record(us);
+    obs::observe("bdd.gc_pause_us", us);
     obs::flight(obs::FlightKind::gc, "gc", nodes_before, live_nodes_, us);
   }
 }
@@ -495,9 +494,16 @@ NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
   if (measure) ite_depth_max_ = ite_depth_;
   const NodeId r = governed({f, g, h}, [&] { return ite_rec(f, g, h); });
   if (measure) {
-    if (!ite_depth_hist_)
-      ite_depth_hist_ = &obs::Registry::instance().histogram("bdd.ite_depth");
-    ite_depth_hist_->record(ite_depth_max_);
+    // Hoist the locked name lookup per thread and registry: a pooled
+    // manager outlives its run's registry, but serials are never reused.
+    thread_local std::uint64_t serial = 0;
+    thread_local obs::Histogram* hist = nullptr;
+    obs::Registry& reg = obs::Registry::current();
+    if (reg.serial() != serial) {
+      hist = &reg.histogram("bdd.ite_depth");
+      serial = reg.serial();
+    }
+    hist->record(ite_depth_max_);
   }
   return r;
 }
@@ -737,7 +743,7 @@ const char* Manager::op_class_name(unsigned cls) {
 void Manager::publish_stats(const char* prefix) const {
   if (!obs::enabled()) return;
   const std::string p = prefix;
-  obs::Registry& reg = obs::Registry::instance();
+  obs::Registry& reg = obs::Registry::current();
   reg.counter(p + ".nodes_allocated").add(stats_.nodes_allocated);
   reg.counter(p + ".unique_hits").add(stats_.unique_hits);
   reg.counter(p + ".cache_lookups").add(stats_.cache_lookups);

@@ -34,10 +34,6 @@ namespace imodec::util {
 class ResourceGuard;
 }
 
-namespace imodec::obs {
-class Histogram;
-}
-
 namespace imodec::bdd {
 
 /// An edge: (arena index << 1) | complement bit.
@@ -262,11 +258,6 @@ class Manager {
   // public entry point when observability is on.
   std::uint32_t ite_depth_ = 0;
   std::uint32_t ite_depth_max_ = 0;
-  // Cached registry handle (stable for the process lifetime), resolved on
-  // first use: the depth histogram records once per public op, and a name
-  // lookup there (mutex + map probe) costs several percent on the BDD-op
-  // microbenches.
-  obs::Histogram* ite_depth_hist_ = nullptr;
   mutable Stats stats_;
 };
 

@@ -41,29 +41,6 @@ VertexPartition local_partition_tt(const TruthTable& f,
   return part;
 }
 
-VertexPartition local_partition_bdd(const bdd::Bdd& f,
-                                    const std::vector<unsigned>& bs_vars) {
-  const unsigned b = static_cast<unsigned>(bs_vars.size());
-  VertexPartition part;
-  part.b = b;
-  part.class_of.resize(std::uint64_t{1} << b);
-
-  // The cofactor of f w.r.t. a full BS assignment identifies the column
-  // pattern; equal BDD nodes == equal columns (canonicity).
-  std::unordered_map<bdd::NodeId, std::uint32_t> ids;
-  std::uint32_t next_id = 0;
-  for (std::uint64_t x = 0; x < part.num_vertices(); ++x) {
-    bdd::Bdd cof = f;
-    for (unsigned i = 0; i < b; ++i)
-      cof = cof.cofactor(bs_vars[i], (x >> i) & 1);
-    auto [it, inserted] = ids.emplace(cof.node(), next_id);
-    if (inserted) ++next_id;
-    part.class_of[x] = it->second;
-  }
-  part.num_classes = next_id;
-  return part;
-}
-
 VertexPartition global_partition(const std::vector<VertexPartition>& locals) {
   std::vector<const VertexPartition*> ptrs;
   ptrs.reserve(locals.size());

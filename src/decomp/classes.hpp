@@ -4,10 +4,9 @@
 // Two bound-set vertices are compatible for output f iff all their
 // decomposition-chart columns agree (Def. 1); the equivalence classes are the
 // local classes, and their product over all outputs is the global partition
-// (Def. 2). The flow computes local partitions from truth tables; the
-// BDD-cofactor version is the test oracle they are cross-checked against.
+// (Def. 2). The flow computes local partitions from truth tables;
+// tests/test_classes.cpp cross-checks them against a BDD-cofactor oracle.
 
-#include "bdd/bdd.hpp"
 #include "decomp/types.hpp"
 
 namespace imodec {
@@ -16,13 +15,6 @@ namespace imodec {
 /// chart columns. Classes are numbered in first-occurrence order over the
 /// BS-vertex index, so results are deterministic.
 VertexPartition local_partition_tt(const TruthTable& f, const VarPartition& vp);
-
-/// Same, computed from a BDD (the test oracle for local_partition_tt):
-/// bs_vars may be any of the manager's variables; vertices are enumerated by
-/// cofactoring on bs_vars in the given order (vertex bit i = value of
-/// bs_vars[i]).
-VertexPartition local_partition_bdd(const bdd::Bdd& f,
-                                    const std::vector<unsigned>& bs_vars);
 
 /// Global partition Π̂ = Π_{f1} · ... · Π_{fm} (Def. 2).
 VertexPartition global_partition(const std::vector<VertexPartition>& locals);

@@ -71,7 +71,7 @@ Results evaluate_candidates(const std::vector<TruthTable>& outputs,
   // multi-microsecond evaluation; nullptr when observability is off.
   obs::Histogram* const hist =
       obs::enabled()
-          ? &obs::Registry::instance().histogram("varpart.candidate_us")
+          ? &obs::Registry::current().histogram("varpart.candidate_us")
           : nullptr;
   const auto eval_one = [&](std::size_t i) {
     // A deadline/cancellation trip in any worker unwinds through

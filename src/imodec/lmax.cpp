@@ -139,12 +139,7 @@ LmaxResult lmax(bdd::Manager& mgr, std::uint32_t p,
     }
   }
   assert(need == 0);
-  if (obs::enabled()) {
-    // Registry handles live for the process; hoist the locked name lookup.
-    static obs::Counter& visits =
-        obs::Registry::instance().counter("engine.lmax_visits");
-    visits.add(search.visits());
-  }
+  obs::count("engine.lmax_visits", search.visits());
 
   // Report which outputs the chosen function is preferable for.
   std::vector<bool> full(mgr.num_vars(), false);

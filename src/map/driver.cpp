@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -148,8 +149,8 @@ void run_verification(const Network& input, const Network& mapped,
 }
 
 /// The pipeline proper, minus the envelope that the public run_synthesis
-/// wraps around it: the run's trace and the flight recorder (enable + clear
-/// + dump-on-unwind).
+/// wraps around it: the run's observability sinks (trace, registry, flight
+/// ring) and the ring's dump on unwind.
 DriverReport run_synthesis_governed(const Network& input,
                                     const SynthesisConfig& opts,
                                     Network& mapped,
@@ -253,10 +254,7 @@ DriverReport run_synthesis_governed(const Network& input,
     }
   }
 
-  if (obs::enabled()) {
-    obs::count("driver.runs");
-    rep.counters = obs::Registry::instance().counters();
-  }
+  obs::count("driver.runs");
   return rep;
 }
 
@@ -276,21 +274,30 @@ DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
 
 DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
                            Network& mapped, const RunResources& res) {
-  // Flight recording is forced on for every governed or progress-reporting
-  // run (and whenever observability is on), so a Timeout/ResourceExhausted
-  // unwind leaves a post-mortem trail even in an otherwise obs-off process.
+  // The run's own sinks: every span, metric and flight event of this run,
+  // on this thread and on its pool workers, lands here and nowhere else. A
+  // governed or progress-reporting run keeps a ring even with obs off, so a
+  // Timeout/ResourceExhausted unwind still leaves a post-mortem trail.
   const bool governed = opts.timeout_ms || opts.node_budget;
-  obs::FlightEnableScope flight_scope(governed || opts.progress_ms > 0 ||
-                                      obs::enabled());
-  if (obs::flight_enabled()) obs::FlightRecorder::instance().clear();
-  // The run's own span log: every span of this run, on this thread and on
-  // the pool workers it fans out to, lands here and nowhere else.
   std::optional<obs::Trace> trace;
-  if (obs::enabled()) trace.emplace();
-  const obs::TraceScope trace_scope({trace ? &*trace : nullptr});
+  std::shared_ptr<obs::Registry> metrics;
+  if (obs::enabled()) {
+    trace.emplace();
+    metrics = std::make_shared<obs::Registry>();
+  }
+  std::unique_ptr<obs::FlightRecorder> ring;
+  if (governed || opts.progress_ms > 0 || obs::enabled())
+    ring = std::make_unique<obs::FlightRecorder>();
+  const obs::TraceScope scope(
+      {trace ? &*trace : nullptr, -1, metrics.get(), ring.get()});
   try {
     DriverReport rep = run_synthesis_governed(input, opts, mapped, res);
     if (trace) rep.spans = trace->take();  // root span closed on return
+    rep.metrics = std::move(metrics);
+    if (ring) {
+      rep.flight = ring->snapshot();
+      rep.flight_recorded = ring->total_recorded();
+    }
     return rep;
   } catch (const util::ResourceExhausted& e) {
     // Record the trip itself, then dump the ring to stderr as one compact
@@ -298,11 +305,13 @@ DriverReport run_synthesis(const Network& input, const SynthesisConfig& opts,
     // derives from ResourceExhausted, so exit codes 4 and 5 both land here,
     // as do fault-injection trips (they throw the same types).
     obs::flight(obs::FlightKind::trip, util::to_string(e.kind()));
-    if (obs::flight_enabled())
-      std::fprintf(stderr,
-                   "imodec: resource trip (%s); flight recorder dump:\n%s\n",
-                   util::to_string(e.kind()),
-                   obs::flight_dump_json().dump(-1).c_str());
+    if (ring)
+      std::fprintf(
+          stderr, "imodec: resource trip (%s); flight recorder dump:\n%s\n",
+          util::to_string(e.kind()),
+          obs::flight_json(ring->snapshot(), ring->total_recorded())
+              .dump(-1)
+              .c_str());
     throw;
   }
 }
@@ -361,9 +370,10 @@ std::string format_report(const std::string& name, const DriverReport& rep) {
     s += "--- phases (total ms, self ms, x calls) ---\n";
     s += obs::trace_summary(rep.spans);
   }
-  if (!rep.counters.empty()) {
-    s += "--- counters ---\n";
-    for (const auto& [name, value] : rep.counters)
+  if (rep.metrics) {
+    const auto counters = rep.metrics->counters();
+    if (!counters.empty()) s += "--- counters ---\n";
+    for (const auto& [name, value] : counters)
       s += strprintf("  %-36s %12llu\n", name.c_str(),
                      static_cast<unsigned long long>(value));
   }

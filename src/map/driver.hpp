@@ -7,13 +7,15 @@
 // equivalence verification against the input.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "map/config.hpp"
 #include "map/xc3000.hpp"
+#include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/extract.hpp"
 
@@ -51,11 +53,13 @@ struct DriverReport {
   /// Input assignment (indexed like input.inputs()) where the mapped
   /// network differs, when !verified and the check found one.
   std::optional<std::vector<bool>> counterexample;
-  /// Observability section, populated only when obs::enabled(): the run's
-  /// own spans (one root, `driver.run_synthesis`) and a snapshot of the
-  /// process-wide counter registry taken at the end.
+  /// The run's own spans (one root, `driver.run_synthesis`) and metrics,
+  /// set when obs::enabled(), and its flight events (oldest first, out of
+  /// `flight_recorded`), set when the run kept a ring.
   std::vector<obs::Span> spans;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::shared_ptr<const obs::Registry> metrics;
+  std::vector<obs::FlightEvent> flight;
+  std::uint64_t flight_recorded = 0;
 };
 
 /// Run the full synthesis pipeline; returns the report and stores the mapped

@@ -125,7 +125,7 @@ class Flow {
         obs::ScopedSpan span("flow.merge");
         for (GroupComputation& c : comps) apply_computation(c);
       }
-      if (obs::flight_enabled()) {
+      if (obs::FlightRecorder::current()) {
         // Guard-margin checkpoint at round granularity: how much budget and
         // wall clock was left after each round (the post-mortem question).
         std::uint64_t live = 0, budget = 0, ms_left = ~std::uint64_t{0};

@@ -4,9 +4,6 @@
 #include <optional>
 
 #include "bdd/manager.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace imodec {
 
@@ -142,7 +139,8 @@ std::optional<obs::Json> kernel_json(
 obs::Json build_run_report(const std::string& circuit,
                            const SynthesisConfig& cfg,
                            const DriverReport& rep) {
-  obs::Registry& reg = obs::Registry::instance();
+  static const obs::Registry kNoMetrics;  // a run with observability off
+  const obs::Registry& reg = rep.metrics ? *rep.metrics : kNoMetrics;
   const auto counters = reg.counters();
   const auto gauges = reg.gauges();
 
@@ -187,7 +185,7 @@ obs::Json build_run_report(const std::string& circuit,
       kernel[prefix] = std::move(*k);
   doc["kernel"] = std::move(kernel);
 
-  doc["flight"] = obs::flight_dump_json();
+  doc["flight"] = obs::flight_json(rep.flight, rep.flight_recorded);
   return doc;
 }
 

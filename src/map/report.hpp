@@ -23,10 +23,9 @@ namespace imodec {
 /// Current value of the report's "schema_version" field.
 inline constexpr int kRunReportSchemaVersion = 2;
 
-/// Build the report document for one finished run. Pulls counters, gauges,
-/// histograms and flight events from the process-wide observability state at
-/// call time, so call it right after run_synthesis returns (and before the
-/// next run resets or overwrites anything).
+/// Build the report document for one finished run from `rep` alone: its
+/// spans, its own registry (counters, gauges, histograms, kernel health)
+/// and its flight events. Sections the run did not record are empty.
 obs::Json build_run_report(const std::string& circuit,
                            const SynthesisConfig& cfg,
                            const DriverReport& rep);

@@ -30,10 +30,6 @@ DriverReport SynthesisSession::run(const Network& input,
                                    Network& mapped) {
   assert(cfg.validate().empty() && "SynthesisSession::run requires a valid "
                                    "config");
-  // Request boundary: restart every gauge's max watermark so peaks (live
-  // nodes, table loads) are per-run, not since-process-start — a small
-  // circuit served after a big one must not inherit its highs.
-  if (obs::enabled()) obs::Registry::instance().reset_watermarks();
   RunResources res;
   res.pool = pool();
   res.npn_cache = result_cache();  // run_synthesis gates on cfg.result_cache

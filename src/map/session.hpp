@@ -10,9 +10,10 @@
 //    constructing — unique table / computed cache / node arena stay grown),
 //  - the exact-keyed result cache (map/npn_cache.hpp), kept only when the
 //    base config sets result_cache.
-// Every run still observes the per-request boundary: gauge watermarks are
-// reset, and results are bit-identical to a fresh process running the same
-// request sequence (DESIGN.md §14).
+// Every run still observes the per-request boundary: its report's metrics
+// and flight events are its own (run_synthesis owns them), and results are
+// bit-identical to a fresh process running the same request sequence
+// (DESIGN.md §14).
 
 #include <optional>
 #include <string>

@@ -12,18 +12,17 @@
 namespace imodec::obs {
 
 namespace {
-std::atomic<bool> g_flight_enabled{false};
 
 static_assert(sizeof(FlightEvent) == 56, "packing assumes 7 words");
 static_assert(std::is_trivially_copyable_v<FlightEvent>);
-}  // namespace
 
-bool flight_enabled() {
-  return g_flight_enabled.load(std::memory_order_relaxed);
-}
-void set_flight_enabled(bool on) {
-  g_flight_enabled.store(on, std::memory_order_relaxed);
-}
+/// Every live ring, for flight_dump_fd: lock-free pointers, so a signal
+/// handler reads them safely. Rings past the table still record, undumped.
+constexpr std::size_t kMaxLiveRings = 64;
+std::atomic<const FlightRecorder*> g_live_rings[kMaxLiveRings];
+static_assert(std::atomic<const FlightRecorder*>::is_always_lock_free);
+
+}  // namespace
 
 const char* to_string(FlightKind k) {
   switch (k) {
@@ -40,11 +39,17 @@ const char* to_string(FlightKind k) {
 FlightRecorder::FlightRecorder() : epoch_(std::chrono::steady_clock::now()) {
   for (Slot& s : slots_)
     for (auto& w : s.w) w.store(0, std::memory_order_relaxed);
+  for (auto& entry : g_live_rings) {
+    const FlightRecorder* empty = nullptr;
+    if (entry.compare_exchange_strong(empty, this)) break;
+  }
 }
 
-FlightRecorder& FlightRecorder::instance() {
-  static FlightRecorder* rec = new FlightRecorder();  // leaked, like Registry
-  return *rec;
+FlightRecorder::~FlightRecorder() {
+  for (auto& entry : g_live_rings) {
+    const FlightRecorder* self = this;
+    if (entry.compare_exchange_strong(self, nullptr)) break;
+  }
 }
 
 void FlightRecorder::record(FlightKind kind, std::string_view what,
@@ -107,22 +112,12 @@ std::size_t FlightRecorder::snapshot_into(FlightEvent* out,
   return n;
 }
 
-void FlightRecorder::clear() {
-  head_.store(0, std::memory_order_relaxed);
-  for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  epoch_ = std::chrono::steady_clock::now();
-}
-
 void flight_dump_fd(int fd) {
 #ifndef _WIN32
   // Static storage: a fatal handler may run on a tight signal stack, and
   // install_fatal_handler guarantees single entry, so no reentrancy hazard
   // worth trading async-signal safety for.
   static FlightEvent events[FlightRecorder::kCapacity];
-  const FlightRecorder& rec = FlightRecorder::instance();
-  const std::size_t n =
-      rec.snapshot_into(events, FlightRecorder::kCapacity);
-
   char buf[256];
   const auto emit = [fd](const char* s, std::size_t len) {
     std::size_t off = 0;
@@ -132,47 +127,53 @@ void flight_dump_fd(int fd) {
       off += static_cast<std::size_t>(w);
     }
   };
-  int len = std::snprintf(buf, sizeof(buf),
-                          "{\"imodec_flight\":{\"recorded\":%llu,"
-                          "\"capacity\":%llu,\"events\":[",
-                          static_cast<unsigned long long>(rec.total_recorded()),
-                          static_cast<unsigned long long>(
-                              FlightRecorder::kCapacity));
-  emit(buf, static_cast<std::size_t>(len));
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlightEvent& ev = events[i];
-    // `what` is one of our own short labels; scrub anything that could
-    // break the JSON string rather than escape it.
-    char what[sizeof(ev.what)];
-    std::size_t wl = 0;
-    for (; wl < sizeof(what) - 1 && ev.what[wl]; ++wl) {
-      const char c = ev.what[wl];
-      what[wl] = (c < 0x20 || c == '"' || c == '\\') ? '_' : c;
+  for (const auto& entry : g_live_rings) {  // one line per live ring
+    const FlightRecorder* rec = entry.load(std::memory_order_acquire);
+    if (!rec) continue;
+    const std::size_t n =
+        rec->snapshot_into(events, FlightRecorder::kCapacity);
+    int len = std::snprintf(
+        buf, sizeof(buf),
+        "{\"imodec_flight\":{\"recorded\":%llu,\"capacity\":%llu,"
+        "\"events\":[",
+        static_cast<unsigned long long>(rec->total_recorded()),
+        static_cast<unsigned long long>(FlightRecorder::kCapacity));
+    emit(buf, static_cast<std::size_t>(len));
+    for (std::size_t i = 0; i < n; ++i) {
+      const FlightEvent& ev = events[i];
+      // `what` is one of our own short labels; scrub anything that could
+      // break the JSON string rather than escape it.
+      char what[sizeof(ev.what)];
+      std::size_t wl = 0;
+      for (; wl < sizeof(what) - 1 && ev.what[wl]; ++wl) {
+        const char c = ev.what[wl];
+        what[wl] = (c < 0x20 || c == '"' || c == '\\') ? '_' : c;
+      }
+      what[wl] = '\0';
+      len = std::snprintf(buf, sizeof(buf),
+                          "%s{\"t_ms\":%.3f,\"kind\":\"%s\",\"what\":\"%s\","
+                          "\"a\":%llu,\"b\":%llu,\"c\":%llu}",
+                          i ? "," : "", ev.t_ms, to_string(ev.kind), what,
+                          static_cast<unsigned long long>(ev.a),
+                          static_cast<unsigned long long>(ev.b),
+                          static_cast<unsigned long long>(ev.c));
+      if (len > 0) emit(buf, static_cast<std::size_t>(len));
     }
-    what[wl] = '\0';
-    len = std::snprintf(buf, sizeof(buf),
-                        "%s{\"t_ms\":%.3f,\"kind\":\"%s\",\"what\":\"%s\","
-                        "\"a\":%llu,\"b\":%llu,\"c\":%llu}",
-                        i ? "," : "", ev.t_ms, to_string(ev.kind), what,
-                        static_cast<unsigned long long>(ev.a),
-                        static_cast<unsigned long long>(ev.b),
-                        static_cast<unsigned long long>(ev.c));
-    if (len > 0) emit(buf, static_cast<std::size_t>(len));
+    emit("]}}\n", 4);
   }
-  emit("]}}\n", 4);
 #else
   (void)fd;
 #endif
 }
 
-Json flight_dump_json() {
-  const FlightRecorder& rec = FlightRecorder::instance();
+Json flight_json(const std::vector<FlightEvent>& events,
+                 std::uint64_t recorded) {
   Json doc = Json::object();
-  doc["recorded"] = rec.total_recorded();
+  doc["recorded"] = recorded;
   doc["capacity"] = static_cast<std::uint64_t>(FlightRecorder::kCapacity);
-  Json& events = doc["events"];
-  events = Json::array();
-  for (const FlightEvent& ev : rec.snapshot()) {
+  Json& out = doc["events"];
+  out = Json::array();
+  for (const FlightEvent& ev : events) {
     Json e = Json::object();
     e["t_ms"] = ev.t_ms;
     e["kind"] = to_string(ev.kind);
@@ -180,7 +181,7 @@ Json flight_dump_json() {
     e["a"] = ev.a;
     e["b"] = ev.b;
     e["c"] = ev.c;
-    events.push_back(std::move(e));
+    out.push_back(std::move(e));
   }
   return doc;
 }

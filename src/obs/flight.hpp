@@ -4,10 +4,10 @@
 // ResourceExhausted (or a fault-injection trip) the last ~1024 things the
 // pipeline did can be dumped as JSON for a post-mortem (DESIGN.md §13.2).
 //
-// The recorder has its own enable switch, independent of obs::enabled():
-// the driver force-enables it for governed runs so a timeout in an
-// otherwise obs-off process still leaves a trail. When disabled, flight()
-// is one relaxed atomic load.
+// Each run owns its ring: run_synthesis creates one for governed,
+// progress-reporting or observed runs and installs it in the thread's
+// TraceContext; flight() records there or, with none installed, nowhere.
+// Every live ring is listed in a fixed table for flight_dump_fd.
 //
 // Ring protocol (per-slot seqlock): a writer claims a ticket with a relaxed
 // fetch_add on the head counter, stores seq=0 to invalidate the slot, writes
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace imodec::obs {
 
@@ -43,7 +44,7 @@ enum class FlightKind : std::uint8_t {
 const char* to_string(FlightKind k);
 
 struct FlightEvent {
-  double t_ms = 0;      ///< milliseconds since the recorder was last cleared
+  double t_ms = 0;      ///< milliseconds since the ring was created
   FlightKind kind = FlightKind::phase;
   char what[23] = {};   ///< short label, truncated, always NUL-terminated
   std::uint64_t a = 0;
@@ -51,13 +52,18 @@ struct FlightEvent {
   std::uint64_t c = 0;
 };
 
-bool flight_enabled();
-void set_flight_enabled(bool on);
-
 class FlightRecorder {
  public:
   static constexpr std::size_t kCapacity = 1024;  // power of two
-  static FlightRecorder& instance();
+
+  /// Starts the clock and lists the ring for flight_dump_fd while it lives.
+  FlightRecorder();
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
+
+  /// The calling thread's ring (TraceContext::flight), or nullptr.
+  static FlightRecorder* current();
 
   void record(FlightKind kind, std::string_view what, std::uint64_t a,
               std::uint64_t b, std::uint64_t c);
@@ -76,11 +82,7 @@ class FlightRecorder {
     return head_.load(std::memory_order_acquire);
   }
 
-  /// Forget everything and restart the clock (run boundary).
-  void clear();
-
  private:
-  FlightRecorder();
   // A FlightEvent packed into atomic words so concurrent overwrite is a
   // detected lost event, never a data race.
   static constexpr std::size_t kWords = 7;
@@ -89,38 +91,32 @@ class FlightRecorder {
     std::atomic<std::uint64_t> w[kWords];
   };
   std::atomic<std::uint64_t> head_{0};
-  std::chrono::steady_clock::time_point epoch_;
+  const std::chrono::steady_clock::time_point epoch_;
   Slot slots_[kCapacity];
 };
 
-/// Record gated on flight_enabled(); the single call sites use.
+inline FlightRecorder* FlightRecorder::current() {
+  return detail::t_context.flight;
+}
+
+/// Record into the calling thread's ring, if any; the one call sites use.
 inline void flight(FlightKind kind, std::string_view what, std::uint64_t a = 0,
                    std::uint64_t b = 0, std::uint64_t c = 0) {
-  if (flight_enabled()) FlightRecorder::instance().record(kind, what, a, b, c);
+  if (FlightRecorder* ring = FlightRecorder::current())
+    ring->record(kind, what, a, b, c);
 }
 
 /// {"recorded": N, "capacity": 1024, "events": [{t_ms,kind,what,a,b,c}...]}
-Json flight_dump_json();
+/// for `events` (oldest first) out of `recorded` ever recorded.
+Json flight_json(const std::vector<FlightEvent>& events,
+                 std::uint64_t recorded);
 
-/// Last-gasp variant: write the ring to `fd` as one JSON line
-/// ({"imodec_flight":{...}}\n) using only async-signal-safe operations —
+/// Last-gasp dump: write every live ring to `fd`, one JSON line each
+/// ({"imodec_flight":{...}}\n), using only async-signal-safe operations —
 /// no allocation, no locks, no stdio buffering. Safe to call from a fatal
-/// signal handler (util::install_fatal_handler); also usable anywhere a
-/// malloc-free dump is wanted. POSIX only (no-op elsewhere).
+/// signal handler (util::install_fatal_handler). Best effort: a run that
+/// ends during the dump frees a ring the dump may still be reading. POSIX
+/// only (no-op elsewhere).
 void flight_dump_fd(int fd);
-
-/// Force the recorder on for a scope, restoring the previous state on exit.
-class FlightEnableScope {
- public:
-  explicit FlightEnableScope(bool on) : prev_(flight_enabled()) {
-    if (on && !prev_) set_flight_enabled(true);
-  }
-  ~FlightEnableScope() { set_flight_enabled(prev_); }
-  FlightEnableScope(const FlightEnableScope&) = delete;
-  FlightEnableScope& operator=(const FlightEnableScope&) = delete;
-
- private:
-  bool prev_;
-};
 
 }  // namespace imodec::obs

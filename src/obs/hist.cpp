@@ -90,4 +90,19 @@ void Histogram::reset() {
   }
 }
 
+void Histogram::merge(const Histogram& other) {
+  const auto b = other.buckets();
+  Shard& s = shards_[shard_index()];
+  for (unsigned i = 0; i < kBuckets; ++i)
+    s.buckets[i].fetch_add(static_cast<std::uint32_t>(b[i]),
+                           std::memory_order_relaxed);
+  s.count.fetch_add(other.count(), std::memory_order_relaxed);
+  s.sum.fetch_add(other.sum(), std::memory_order_relaxed);
+  const std::uint64_t m = other.max();
+  std::uint64_t prev = s.max.load(std::memory_order_relaxed);
+  while (m > prev &&
+         !s.max.compare_exchange_weak(prev, m, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace imodec::obs

@@ -95,9 +95,14 @@ class Histogram {
 
   void reset();
 
+  /// Add every value `other` recorded, as if recorded here.
+  void merge(const Histogram& other);
+
  private:
   static constexpr unsigned kShards = 16;
-  struct alignas(64) Shard {
+  // Not over-aligned: under per-run histograms, aligned allocation
+  // fragments the heap (DESIGN.md §13.1).
+  struct Shard {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> max{0};

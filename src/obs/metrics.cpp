@@ -1,15 +1,17 @@
 #include "obs/metrics.hpp"
 
-#include "util/strings.hpp"
-
 namespace imodec::obs {
 
 namespace {
 std::atomic<bool> g_enabled{false};
+std::atomic<std::uint64_t> g_next_serial{1};
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+
+Registry::Registry()
+    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 Registry& Registry::instance() {
   static Registry* reg = new Registry();  // leaked: outlives all users
@@ -77,9 +79,15 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-void Registry::reset_watermarks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, g] : gauges_) g->reset_watermark();
+void Registry::merge(const Registry& other) {
+  for (const auto& [name, value] : other.counters()) counter(name).add(value);
+  for (const auto& [name, gv] : other.gauges()) {
+    Gauge& g = gauge(name);
+    g.set(gv.max);  // raises the watermark; the next set restores the value
+    g.set(gv.value);
+  }
+  std::lock_guard<std::mutex> lock(other.mu_);
+  for (const auto& [name, h] : other.histograms_) histogram(name).merge(*h);
 }
 
 Json Registry::to_json() const {
@@ -107,26 +115,6 @@ Json Registry::to_json() const {
     h["p99"] = s.p99;
     hists[name] = std::move(h);
   }
-  return out;
-}
-
-std::string Registry::to_text() const {
-  std::string out;
-  for (const auto& [name, value] : counters())
-    out += strprintf("  %-36s %12llu\n", name.c_str(),
-                     static_cast<unsigned long long>(value));
-  for (const auto& [name, gv] : gauges())
-    out += strprintf("  %-36s %12lld  (max %lld)\n", name.c_str(),
-                     static_cast<long long>(gv.value),
-                     static_cast<long long>(gv.max));
-  for (const auto& [name, s] : histograms())
-    out += strprintf(
-        "  %-36s %12llu  (p50 %llu, p90 %llu, p99 %llu, max %llu)\n",
-        name.c_str(), static_cast<unsigned long long>(s.count),
-        static_cast<unsigned long long>(s.p50),
-        static_cast<unsigned long long>(s.p90),
-        static_cast<unsigned long long>(s.p99),
-        static_cast<unsigned long long>(s.max));
   return out;
 }
 

@@ -1,14 +1,18 @@
 #pragma once
-// Named counters and gauges in a process-wide registry (the numeric half of
-// the observability layer; spans live in obs/trace.hpp).
+// Named counters, gauges and histograms (the numeric half of the
+// observability layer; spans live in obs/trace.hpp).
 //
 // Counters are monotonic uint64 accumulators; gauges are settable int64
 // values that also remember their maximum (e.g. peak live BDD nodes).
-// Handles returned by the registry are stable for the process lifetime, so
-// hot call sites can look a counter up once and increment a pointer
-// thereafter. All instrumentation sites in the pipeline are gated on
-// obs::enabled() — when observability is off (the default) no registry entry
-// is created or touched, which is what the zero-overhead tests assert.
+// run_synthesis makes one Registry per run (when obs::enabled()) and hands
+// it to the run's report. Records go to the calling thread's run registry;
+// with no run installed, to the process registry, which direct layer calls
+// (tests, bench harnesses) read. A handle lives as long as its registry, so
+// a hot call site hoists a lookup for one call, or caches it keyed on the
+// registry's serial(), never for the process. All
+// instrumentation sites in the pipeline are gated on obs::enabled() — when
+// observability is off (the default) no registry entry is created or
+// touched, which is what the zero-overhead tests assert.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +27,7 @@
 
 #include "obs/hist.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace imodec::obs {
 
@@ -58,11 +63,6 @@ class Gauge {
     value_.store(0, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
-  /// Restart the max watermark from the current value (request boundary).
-  void reset_watermark() {
-    max_.store(value_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -71,9 +71,19 @@ class Gauge {
 
 class Registry {
  public:
-  static Registry& instance();
+  Registry();
 
-  /// Find-or-create; the returned reference stays valid forever.
+  /// The process registry: where records go when no run is installed.
+  static Registry& instance();
+  /// The calling thread's run registry, or the process registry when the
+  /// thread records for no run.
+  static Registry& current();
+
+  /// Unique per registry, never reused: a cached handle is good while its
+  /// registry's serial is current()'s.
+  std::uint64_t serial() const { return serial_; }
+
+  /// Find-or-create; the returned reference lives as long as the registry.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
@@ -91,39 +101,42 @@ class Registry {
   /// use this to isolate runs.
   void reset();
 
-  /// Restart every gauge's max watermark from its current value, so peaks
-  /// are per-request when a SynthesisSession serves many runs.
-  void reset_watermarks();
+  /// Add `other`'s metrics in: counters and histograms sum, gauges take
+  /// `other`'s value and the larger max (process totals over runs).
+  void merge(const Registry& other);
 
   /// {"counters": {...}, "gauges": {name: {"value","max"}, ...},
   ///  "histograms": {name: {"count","sum","max","p50","p90","p99"}, ...}}
   Json to_json() const;
-  /// Aligned name/value table; empty string when nothing is registered.
-  std::string to_text() const;
 
  private:
-  Registry() = default;
+  const std::uint64_t serial_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// `Registry::instance().counter(name).add(delta)` gated on enabled().
+inline Registry& Registry::current() {
+  Registry* run = detail::t_context.metrics;
+  return run ? *run : instance();
+}
+
+/// `Registry::current().counter(name).add(delta)` gated on enabled().
 inline void count(std::string_view name, std::uint64_t delta = 1) {
-  if (enabled()) Registry::instance().counter(name).add(delta);
+  if (enabled()) Registry::current().counter(name).add(delta);
 }
 
-/// `Registry::instance().gauge(name).set(v)` gated on enabled().
+/// `Registry::current().gauge(name).set(v)` gated on enabled().
 inline void gauge_set(std::string_view name, std::int64_t v) {
-  if (enabled()) Registry::instance().gauge(name).set(v);
+  if (enabled()) Registry::current().gauge(name).set(v);
 }
 
-/// `Registry::instance().histogram(name).record(v)` gated on enabled().
+/// `Registry::current().histogram(name).record(v)` gated on enabled().
 /// Hot loops should instead hoist the Histogram* lookup outside the loop
 /// (the lookup takes the registry mutex).
 inline void observe(std::string_view name, std::uint64_t v) {
-  if (enabled()) Registry::instance().histogram(name).record(v);
+  if (enabled()) Registry::current().histogram(name).record(v);
 }
 
 /// Run `fn`, recording its wall time in µs into `hist` unless `hist` is null

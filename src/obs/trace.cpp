@@ -11,7 +11,7 @@ namespace imodec::obs {
 
 namespace {
 
-thread_local TraceContext t_context;
+using detail::t_context;
 
 std::uint64_t this_thread_id() {
   static thread_local const std::uint64_t tid =
@@ -47,8 +47,6 @@ std::vector<Span> Trace::take() {
   std::lock_guard<std::mutex> lock(mu_);
   return std::exchange(spans_, {});
 }
-
-TraceContext TraceContext::current() { return t_context; }
 
 TraceScope::TraceScope(TraceContext ctx) : prev_(t_context) {
   t_context = ctx;

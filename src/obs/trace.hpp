@@ -5,7 +5,8 @@
 // so exporters can rebuild the tree. A trace belongs to whoever creates it:
 // run_synthesis makes one per run (when obs::enabled()) and hands its spans
 // to the run's report, so nothing outlives the run. Spans go to the calling
-// thread's sink, installed with a TraceScope; with no sink installed,
+// thread's sink, installed with a TraceScope together with the run's
+// registry and flight ring (TraceContext); with no sink installed,
 // ScopedSpan records nothing and costs a thread-local read plus a clock read
 // — the clock read is kept because ScopedSpan::seconds() doubles as the
 // pipeline's only timing primitive (ImodecStats/FlowStats derive their
@@ -57,17 +58,30 @@ class Trace {
   std::vector<Span> spans_;
 };
 
-/// Where the calling thread's spans go: the sink (nullptr = record nothing)
-/// and the open span new spans nest under (-1 = they become roots).
+class Registry;
+class FlightRecorder;
+
+/// The run the calling thread records for: its span sink (nullptr = record
+/// nothing), the open span new spans nest under (-1 = they become roots),
+/// its registry (nullptr = the process one) and its flight ring (nullptr =
+/// record nothing).
 struct TraceContext {
   Trace* trace = nullptr;
   int parent = -1;
+  Registry* metrics = nullptr;
+  FlightRecorder* flight = nullptr;
 
-  /// The calling thread's context: its sink and innermost open span. Pool
-  /// fan-outs capture it before parallel_for and reinstall it in each task,
-  /// so worker spans nest under the submitting thread's span (DESIGN.md §9).
+  /// The calling thread's context. Pool fan-outs capture it before
+  /// parallel_for and reinstall it in each task, so worker records land in
+  /// the submitting run, under its open span (DESIGN.md §9).
   static TraceContext current();
 };
+
+namespace detail {
+inline thread_local TraceContext t_context;  // inline: one TLS load per use
+}  // namespace detail
+
+inline TraceContext TraceContext::current() { return detail::t_context; }
 
 /// RAII: install `ctx` as the calling thread's context; the previous one
 /// comes back on destruction, so scopes nest.

@@ -115,7 +115,7 @@ MiterResult check_miter(const Network& a, const Network& b,
     // Building both networks' output BDDs is the proof's cost; comparing
     // them afterwards is O(1) per output on canonical BDDs.
     obs::Histogram* const build_hist =
-        obs::enabled() ? &obs::Registry::instance().histogram("miter.build_us")
+        obs::enabled() ? &obs::Registry::current().histogram("miter.build_us")
                        : nullptr;
     std::vector<bdd::Bdd> fa, fb;
     obs::time_us(build_hist, [&] { build_outputs(mgr, a, var_of_pos, fa); });

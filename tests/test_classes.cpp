@@ -6,8 +6,10 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "bdd/bdd.hpp"
 #include "decomp/classes.hpp"
 #include "logic/net2bdd.hpp"
 #include "paper_fixtures.hpp"
@@ -20,6 +22,32 @@ using testfix::paper_f1;
 using testfix::paper_f2;
 using testfix::paper_vp;
 using testfix::vx;
+
+/// The BDD-cofactor oracle for local_partition_tt: bs_vars may be any of
+/// the manager's variables; vertices are enumerated by cofactoring on
+/// bs_vars in the given order (vertex bit i = value of bs_vars[i]).
+VertexPartition local_partition_bdd(const bdd::Bdd& f,
+                                    const std::vector<unsigned>& bs_vars) {
+  const unsigned b = static_cast<unsigned>(bs_vars.size());
+  VertexPartition part;
+  part.b = b;
+  part.class_of.resize(std::uint64_t{1} << b);
+
+  // The cofactor of f w.r.t. a full BS assignment identifies the column
+  // pattern; equal BDD nodes == equal columns (canonicity).
+  std::unordered_map<bdd::NodeId, std::uint32_t> ids;
+  std::uint32_t next_id = 0;
+  for (std::uint64_t x = 0; x < part.num_vertices(); ++x) {
+    bdd::Bdd cof = f;
+    for (unsigned i = 0; i < b; ++i)
+      cof = cof.cofactor(bs_vars[i], (x >> i) & 1);
+    auto [it, inserted] = ids.emplace(cof.node(), next_id);
+    if (inserted) ++next_id;
+    part.class_of[x] = it->second;
+  }
+  part.num_classes = next_id;
+  return part;
+}
 
 std::set<std::uint32_t> class_set(const VertexPartition& p,
                                   std::initializer_list<const char*> verts) {

@@ -210,9 +210,10 @@ TEST_F(ObsTest, CounterAndGaugeBasics) {
   EXPECT_EQ(g.max(), 0);
 }
 
-/// Registry entries persist once created (handles are stable for the process
-/// lifetime; reset() only zeroes them), so "untouched" means every value is
-/// still zero — not that the maps are empty.
+/// Registry entries persist once created (handles live as long as their
+/// registry, and the process registry lives for the process; reset() only
+/// zeroes them), so "untouched" means every value is still zero — not that
+/// the maps are empty.
 void expect_all_metrics_zero() {
   for (const auto& [name, value] : Registry::instance().counters())
     EXPECT_EQ(value, 0u) << "counter " << name;

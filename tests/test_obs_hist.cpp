@@ -1,13 +1,17 @@
 // Tests for the distribution/post-mortem half of the observability layer
 // (DESIGN.md §13): histogram bucket and quantile math against a reference
 // sort, bit-identical multi-threaded merges (the TSan target), the flight
-// recorder's wraparound and dump-on-unwind contract, and the zero-registry
-// guarantee when observability is disabled.
+// recorder's wraparound and dump-on-unwind contract, records landing in the
+// installed run's registry, and the zero-registry guarantee when
+// observability is disabled.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,34 +20,29 @@
 #include "obs/flight.hpp"
 #include "obs/hist.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/resource.hpp"
 #include "util/rng.hpp"
 
 namespace imodec::obs {
 namespace {
 
-/// Isolation: these tests touch the process-global registry, flight recorder
-/// and enable flags; start clean and restore afterwards.
+/// Isolation: these tests touch the process registry and the enable flag;
+/// start clean and restore afterwards.
 class ObsHistTest : public ::testing::Test {
  protected:
   void SetUp() override {
     was_enabled_ = enabled();
-    was_flight_ = flight_enabled();
     set_enabled(false);
-    set_flight_enabled(false);
     Registry::instance().reset();
-    FlightRecorder::instance().clear();
   }
   void TearDown() override {
     Registry::instance().reset();
-    FlightRecorder::instance().clear();
     set_enabled(was_enabled_);
-    set_flight_enabled(was_flight_);
   }
 
  private:
   bool was_enabled_ = false;
-  bool was_flight_ = false;
 };
 
 /// A value mix covering the exact region, every power-of-two row, and the
@@ -149,9 +148,9 @@ TEST_F(ObsHistTest, ConcurrentRecordingMergesBitIdentical) {
 }
 
 TEST_F(ObsHistTest, FlightRecorderWraparound) {
-  set_flight_enabled(true);
-  FlightRecorder& rec = FlightRecorder::instance();
-  rec.clear();
+  const auto ring = std::make_unique<FlightRecorder>();
+  FlightRecorder& rec = *ring;
+  const TraceScope scope({nullptr, -1, nullptr, &rec});
   constexpr std::uint64_t kTotal = FlightRecorder::kCapacity + 100;
   for (std::uint64_t i = 0; i < kTotal; ++i)
     flight(FlightKind::gc, "wrap", i, 2 * i, 3 * i);
@@ -169,7 +168,7 @@ TEST_F(ObsHistTest, FlightRecorderWraparound) {
     EXPECT_EQ(events[i].kind, FlightKind::gc);
   }
 
-  const Json dump = flight_dump_json();
+  const Json dump = flight_json(rec.snapshot(), rec.total_recorded());
   EXPECT_EQ(dump.find("recorded")->as_number(), static_cast<double>(kTotal));
   EXPECT_EQ(dump.find("events")->size(), FlightRecorder::kCapacity);
 
@@ -180,19 +179,21 @@ TEST_F(ObsHistTest, FlightRecorderWraparound) {
 }
 
 TEST_F(ObsHistTest, FlightDisabledCostsNothing) {
-  FlightRecorder& rec = FlightRecorder::instance();
-  rec.clear();
-  ASSERT_FALSE(flight_enabled());
+  // flight() records into the calling thread's ring only: a ring that no
+  // run installed sees nothing.
+  const auto rec = std::make_unique<FlightRecorder>();
+  ASSERT_EQ(FlightRecorder::current(), nullptr);
   flight(FlightKind::phase, "ignored", 1, 2, 3);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_TRUE(rec.snapshot().empty());
+  EXPECT_EQ(rec->total_recorded(), 0u);
+  EXPECT_TRUE(rec->snapshot().empty());
 }
 
 TEST_F(ObsHistTest, GovernedTripDumpsFlightOnUnwind) {
   // A deterministic node-budget trip in fail mode must unwind out of
   // run_synthesis *and* leave a flight trail ending in a trip event — the
   // post-mortem contract for CLI exit code 5 and the fault-injection sweeps.
-  // (The driver force-enables the recorder for governed runs; obs stays off.)
+  // (Governed runs keep a ring of their own; obs stays off.) The ring dies
+  // with the run, so the trail is read from the driver's stderr dump.
   SynthesisConfig cfg;
   cfg.node_budget = 8;  // far below what 5xp1's engine runs need
   cfg.on_exhaustion = OnExhaustion::fail;
@@ -201,17 +202,28 @@ TEST_F(ObsHistTest, GovernedTripDumpsFlightOnUnwind) {
   const auto net = circuits::make_benchmark("5xp1");
   ASSERT_TRUE(net);
   Network mapped;
+  ::testing::internal::CaptureStderr();
   EXPECT_THROW(run_synthesis(*net, cfg, mapped), util::ResourceExhausted);
+  const std::string err = ::testing::internal::GetCapturedStderr();
 
-  ASSERT_FALSE(flight_enabled());  // scope restored after the unwind
-  const std::vector<FlightEvent> events = FlightRecorder::instance().snapshot();
+  EXPECT_EQ(FlightRecorder::current(), nullptr);  // scope restored
+  const std::string marker = "flight recorder dump:\n";
+  const std::size_t at = err.find(marker);
+  ASSERT_NE(at, std::string::npos) << err;
+  const std::size_t from = at + marker.size();
+  const std::optional<Json> dump =
+      Json::parse(err.substr(from, err.find('\n', from) - from));
+  ASSERT_TRUE(dump) << err;
+  const Json::Array& events = dump->find("events")->items();
   ASSERT_FALSE(events.empty());
   bool saw_phase = false;
-  for (const FlightEvent& e : events)
-    saw_phase = saw_phase || e.kind == FlightKind::phase;
+  for (const Json& e : events)
+    saw_phase = saw_phase || e.find("kind")->as_string() == "phase";
   EXPECT_TRUE(saw_phase);
-  EXPECT_EQ(events.back().kind, FlightKind::trip);
-  EXPECT_STREQ(events.back().what, util::to_string(util::ResourceKind::bdd_nodes));
+  const Json& last = events.back();
+  EXPECT_EQ(last.find("kind")->as_string(), "trip");
+  EXPECT_EQ(last.find("what")->as_string(),
+            util::to_string(util::ResourceKind::bdd_nodes));
 }
 
 TEST_F(ObsHistTest, DisabledRunLeavesRegistryEmpty) {
@@ -225,24 +237,61 @@ TEST_F(ObsHistTest, DisabledRunLeavesRegistryEmpty) {
   const auto net = circuits::make_benchmark("rd53");
   ASSERT_TRUE(net);
   Network mapped;
-  (void)run_synthesis(*net, cfg, mapped);
+  const DriverReport rep = run_synthesis(*net, cfg, mapped);
   EXPECT_TRUE(Registry::instance().counters().empty());
   EXPECT_TRUE(Registry::instance().gauges().empty());
   EXPECT_TRUE(Registry::instance().histograms().empty());
-  EXPECT_EQ(FlightRecorder::instance().total_recorded(), 0u);
+  EXPECT_EQ(rep.metrics, nullptr);
+  EXPECT_TRUE(rep.flight.empty());
+  EXPECT_EQ(rep.flight_recorded, 0u);
 }
 
-TEST_F(ObsHistTest, WatermarkResetMakesPeaksPerRequest) {
-  // The serving-pool fix: a big run's gauge peaks must not leak into the
-  // next request's report.
-  Gauge& g = Registry::instance().gauge("test.live");
-  g.set(1000);
-  g.set(10);
-  EXPECT_EQ(g.max(), 1000);
-  Registry::instance().reset_watermarks();
-  EXPECT_EQ(g.max(), 10);  // restarted from the current value
-  g.set(40);
-  EXPECT_EQ(g.max(), 40);
+TEST_F(ObsHistTest, RecordsGoToTheInstalledRun) {
+  // With a run's registry installed, the gated helpers and every thread
+  // that reinstalls the context record there; without one they fall back
+  // to the process registry.
+  set_enabled(true);
+  Registry run;
+  {
+    const TraceScope scope({nullptr, -1, &run, nullptr});
+    EXPECT_EQ(&Registry::current(), &run);
+    count("t.runs");
+    gauge_set("t.live", 7);
+    const TraceContext ctx = TraceContext::current();
+    std::thread([ctx] {
+      const TraceScope worker(ctx);
+      observe("t.us", 5);
+    }).join();
+  }
+  EXPECT_EQ(&Registry::current(), &Registry::instance());
+  count("t.runs");
+  EXPECT_EQ(run.counter("t.runs").value(), 1u);
+  EXPECT_EQ(run.gauge("t.live").max(), 7);
+  EXPECT_EQ(run.histogram("t.us").count(), 1u);
+  EXPECT_EQ(Registry::instance().counter("t.runs").value(), 1u);
+  EXPECT_TRUE(Registry::instance().gauges().empty());
+  EXPECT_NE(run.serial(), Registry::instance().serial());
+}
+
+TEST_F(ObsHistTest, MergeSumsCountersAndHistogramsAndKeepsGaugePeaks) {
+  Registry total, run;
+  total.counter("c").add(2);
+  total.gauge("g").set(100);
+  total.histogram("h").record(3);
+  run.counter("c").add(5);
+  run.gauge("g").set(40);
+  run.gauge("g").set(1);
+  run.histogram("h").record(3);
+  run.histogram("h").record(1000);
+  total.merge(run);
+  EXPECT_EQ(total.counter("c").value(), 7u);
+  EXPECT_EQ(total.gauge("g").value(), 1);
+  EXPECT_EQ(total.gauge("g").max(), 100);
+  const Histogram::Summary s = total.histogram("h").summary();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_EQ(s.sum, 1006u);
+  EXPECT_EQ(s.max, 1000u);
+  EXPECT_EQ(s.p50, 3u);
 }
 
 }  // namespace

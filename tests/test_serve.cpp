@@ -1,7 +1,8 @@
 // Serving-layer tests (ctest -L serve): the exact-keyed result cache,
 // warm-resource invariants (Manager::reset, ManagerPool), the per-request
 // session boundary (cache-on = cache-off and warm-vs-fresh bit identity,
-// watermark reset), and the imodec_served wire schema (src/map/serve.hpp).
+// run-owned report metrics and flight events), and the imodec_served wire
+// schema (src/map/serve.hpp).
 // DESIGN.md §14.
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "logic/network.hpp"
 #include "map/errors.hpp"
 #include "map/npn_cache.hpp"
+#include "map/report.hpp"
 #include "map/serve.hpp"
 #include "map/session.hpp"
 #include "obs/flight.hpp"
@@ -239,21 +241,6 @@ TEST(SessionTest, DegradedRunsStayBitIdenticalToo) {
   }
 }
 
-TEST(SessionTest, GaugeWatermarksResetAtTheRequestBoundary) {
-  obs::set_enabled(true);
-  SynthesisSession session(serving_config());
-  Network mapped;
-  session.run(*circuits::make_benchmark("5xp1"), mapped);
-  const std::int64_t big_peak =
-      obs::Registry::instance().gauge("bdd.peak_live_nodes").max();
-  EXPECT_GT(big_peak, 0);
-  session.run(*circuits::make_benchmark("rd53"), mapped);
-  const std::int64_t small_peak =
-      obs::Registry::instance().gauge("bdd.peak_live_nodes").max();
-  EXPECT_LT(small_peak, big_peak)
-      << "previous request's watermark leaked into this one";
-}
-
 TEST(SessionTest, ResultCacheCountersAdvanceAcrossRequests) {
   SynthesisSession session(serving_config());
   ASSERT_NE(session.result_cache(), nullptr);
@@ -295,6 +282,102 @@ TEST(SessionTest, RunCheckedSpeaksTheSharedErrorSurface) {
   EXPECT_EQ(tight.code, ErrorCode::resource);
 }
 
+// --- Run scope: a report describes its own run and nothing else ------------
+// (also labelled `parallel`, so a TSan build runs them)
+
+std::string code_of(const obs::Json& resp) {
+  const obs::Json* code = resp.find("code");
+  return code ? code->as_string() : "<none>";
+}
+
+/// A counter of a run report; -1 when the report does not have it.
+double report_counter(const obs::Json& report, const char* name) {
+  const obs::Json* c = report.find("counters")->find(name);
+  return c ? c->as_number() : -1;
+}
+
+/// The ordinals (`a`) of a run report's flight phase events, in ring order.
+std::vector<double> phase_ordinals(const obs::Json& report) {
+  std::vector<double> out;
+  for (const obs::Json& e : report.find("flight")->find("events")->items())
+    if (e.find("kind")->as_string() == "phase")
+      out.push_back(e.find("a")->as_number());
+  return out;
+}
+
+/// True when `ords` is 1, 2, ..., k.
+bool counts_up_from_one(const std::vector<double>& ords) {
+  for (std::size_t i = 0; i < ords.size(); ++i)
+    if (ords[i] != static_cast<double>(i + 1)) return false;
+  return !ords.empty();
+}
+
+TEST(RunScopeTest, SequentialRequestsReportOnlyTheirOwnRun) {
+  serve::Engine engine(serving_config());
+  for (int i = 0; i < 4; ++i) {
+    const obs::Json resp = engine.handle_line(
+        R"({"schema_version":2,"id":"r","circuit":{"name":"rd84"}})");
+    ASSERT_EQ(code_of(resp), "ok");
+    const obs::Json& report = *resp.find("report");
+    EXPECT_EQ(report_counter(report, "driver.runs"), 1) << "request " << i;
+    EXPECT_EQ(report_counter(report, "flow.luts"),
+              report.find("result")->find("luts")->as_number())
+        << "request " << i;
+    EXPECT_TRUE(counts_up_from_one(phase_ordinals(report))) << "request " << i;
+  }
+}
+
+TEST(RunScopeTest, ConcurrentEnginesKeepTheirFlightEventsApart) {
+  // Two engines on two threads, as `imodec_served --workers 2` runs them:
+  // every report's flight ring holds its own run's phases, 1..k in order.
+  const std::vector<std::string> names = {"rd53",   "rd73", "z4ml",
+                                          "misex1", "rd84", "5xp1"};
+  constexpr int kRequests = 40;
+  std::vector<std::string> bad[2];
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w)
+    threads.emplace_back([&, w] {
+      serve::Engine engine(serving_config());
+      for (int i = 0; i < kRequests; ++i) {
+        const std::string& name = names[(i + w) % names.size()];
+        const obs::Json resp = engine.handle_line(
+            R"({"schema_version":2,"id":"r","circuit":{"name":")" + name +
+            R"("}})");
+        const obs::Json* report = resp.find("report");
+        const std::string what = name + " #" + std::to_string(i);
+        if (code_of(resp) != "ok" || !report)
+          bad[w].push_back(what + " failed");
+        else if (!counts_up_from_one(phase_ordinals(*report)))
+          bad[w].push_back(what + " carries another run's flight events");
+        else if (report_counter(*report, "driver.runs") != 1)
+          bad[w].push_back(what + " counts another run");
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  for (int w = 0; w < 2; ++w)
+    EXPECT_TRUE(bad[w].empty()) << "engine " << w << ": " << bad[w].size()
+                                << " of " << kRequests << " bad reports, first "
+                                << bad[w].front();
+}
+
+TEST(RunScopeTest, GaugePeaksArePerRun) {
+  // A small circuit served after a big one must not inherit its highs.
+  obs::set_enabled(true);
+  SynthesisSession session(serving_config());
+  const auto peak = [&](const char* name) {
+    Network mapped;
+    const DriverReport rep =
+        session.run(*circuits::make_benchmark(name), mapped);
+    const obs::Json report = build_run_report(name, session.config(), rep);
+    const obs::Json* g = report.find("gauges")->find("bdd.peak_live_nodes");
+    return g ? g->find("max")->as_number() : 0.0;
+  };
+  const double big_peak = peak("5xp1");
+  EXPECT_GT(big_peak, 0);
+  EXPECT_LT(peak("rd53"), big_peak)
+      << "previous request's watermark leaked into this one";
+}
+
 // --- Error codes ------------------------------------------------------------
 
 TEST(ErrorCodeTest, SpellingAndExitCodeRoundTrip) {
@@ -310,11 +393,6 @@ TEST(ErrorCodeTest, SpellingAndExitCodeRoundTrip) {
 }
 
 // --- Wire schema ------------------------------------------------------------
-
-std::string code_of(const obs::Json& resp) {
-  const obs::Json* code = resp.find("code");
-  return code ? code->as_string() : "<none>";
-}
 
 TEST(ServeTest, WellFormedRequestSucceedsWithReport) {
   serve::Engine engine(serving_config());
@@ -798,7 +876,8 @@ TEST(CrashContainmentTest, FatalSignalDumpsFlightRingAndCrashLine) {
         (void)w;
       }
     });
-    obs::set_flight_enabled(true);
+    obs::FlightRecorder ring;
+    const obs::TraceScope scope({nullptr, -1, nullptr, &ring});
     obs::flight(obs::FlightKind::phase, "preCrash", 1, 2, 3);
     ::raise(SIGSEGV);
     std::_Exit(0);  // unreachable: the re-raise must kill us

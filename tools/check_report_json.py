@@ -21,7 +21,10 @@ Schema (version 2), top level:
   }
 
 Adding keys is schema-compatible and ignored here; missing or mistyped
-required keys fail. `--require-hist NAME` (repeatable) additionally asserts
+required keys fail. A report describes one run and nothing else (see
+check_run_scope): one phase root, counters["driver.runs"] == 1,
+counters["flow.luts"] == result.luts, and flight phase ordinals 1..k in
+order. `--require-hist NAME` (repeatable) additionally asserts
 that histogram NAME exists with count > 0 — the report smoke uses it to pin
 that the varpart/engine/GC/miter instrumentation actually fired.
 
@@ -74,6 +77,30 @@ def check_one_run(phases, where):
     if roots != [("driver.run_synthesis", 1)]:
         raise Fail(f"{where}: roots {roots}, expected one "
                    "driver.run_synthesis with calls == 1")
+
+
+def check_run_scope(counters, result, flight, where):
+    """Counters and flight events belong to this report's run alone: the run
+    counted itself once, its LUT counter matches its result, and its flight
+    phase ordinals run 1, 2, ..., k in order. A ring that wrapped (recorded >
+    capacity) lost its oldest events, so there they need only be
+    consecutive."""
+    runs = counters.get("driver.runs")
+    if runs != 1:
+        raise Fail(f"{where}: counters['driver.runs'] is {runs!r}, "
+                   "expected 1 (the report's own run)")
+    luts = counters.get("flow.luts")
+    if luts != result.get("luts"):
+        raise Fail(f"{where}: counters['flow.luts'] is {luts!r}, "
+                   f"result.luts is {result.get('luts')!r}")
+    ords = [ev.get("a") for ev in need(flight, "events", list, where)
+            if isinstance(ev, dict) and ev.get("kind") == "phase"]
+    wrapped = (need(flight, "recorded", NUMBER, where) >
+               need(flight, "capacity", NUMBER, where))
+    first = ords[0] if ords and wrapped and type(ords[0]) is int else 1
+    if ords != list(range(first, first + len(ords))):
+        raise Fail(f"{where}: flight phase ordinals {ords} do not run "
+                   "1..k in order")
 
 
 def check_histogram_summary(name, s):
@@ -199,7 +226,9 @@ def check_report(doc, require_hists):
     for name, k in kernel.items():
         check_kernel(name, k)
 
-    check_flight(need(doc, "flight", dict, "top level"))
+    flight = need(doc, "flight", dict, "top level")
+    check_flight(flight)
+    check_run_scope(counters, result, flight, "top level")
 
     for name in require_hists:
         if name not in hists:

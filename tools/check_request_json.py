@@ -54,8 +54,9 @@ Response (version 2 stamped on every response; v1 transcripts still pass):
 
 Response "report" contents are spot-checked (full validation is
 check_report_json.py's job), including the one-run rule: "phases" has exactly
-one root, driver.run_synthesis with calls == 1; extra response keys are allowed (the daemon may
-add fields compatibly).
+one root, driver.run_synthesis with calls == 1, and the counters and flight
+events are the run's own (check_report_json.check_run_scope); extra
+response keys are allowed (the daemon may add fields compatibly).
 
 Supervisor/crash records (imodec_served stderr, one JSON line each):
 
@@ -70,6 +71,8 @@ Exit codes: 0 OK, 1 validation failure, 2 usage.
 import argparse
 import json
 import sys
+
+from check_report_json import Fail, check_run_scope
 
 NUMBER = (int, float)
 
@@ -98,10 +101,6 @@ CONFIG_KEYS = {
 }
 
 FAULT_KINDS = {"bad_alloc", "deadline", "node_budget", "cancel"}
-
-
-class Fail(Exception):
-    pass
 
 
 def need(obj, key, types, where, nonneg=False):
@@ -245,6 +244,11 @@ def check_response(doc):
         if roots != [("driver.run_synthesis", 1)]:
             raise Fail(f"response.report.phases: roots {roots}, expected "
                        "one driver.run_synthesis with calls == 1")
+        # ...and neither may its counters or flight events.
+        check_run_scope(need(report, "counters", dict, "response.report"),
+                        report["result"],
+                        need(report, "flight", dict, "response.report"),
+                        "response.report")
     return "response"
 
 

@@ -57,6 +57,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "circuits/registry.hpp"
@@ -251,12 +252,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "imodec: decomposition failed: %s\n", e.what());
     return kExitDecompose;
   }
-  // The trace files export the run's own spans.
+  // The trace files export the run's own spans and metrics.
   const std::vector<obs::Span> spans = rep.spans;
+  const std::shared_ptr<const obs::Registry> metrics = rep.metrics;
   if (!stats) {
     // Tracing without --stats: keep the report compact.
     rep.spans.clear();
-    rep.counters.clear();
+    rep.metrics.reset();
   }
   std::fputs(format_report(net.name().empty() ? input : net.name(), rep)
                  .c_str(),
@@ -270,7 +272,7 @@ int main(int argc, char** argv) {
     if (!trace_json_path.empty()) {
       obs::Json doc = obs::Json::object();
       doc["trace"] = obs::trace_json(spans);
-      doc["metrics"] = obs::Registry::instance().to_json();
+      doc["metrics"] = metrics->to_json();
       if (obs::write_json_file(trace_json_path, doc)) {
         std::printf("wrote %s\n", trace_json_path.c_str());
       } else {
